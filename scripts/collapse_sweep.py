@@ -9,33 +9,15 @@ threshold pairs.  The two relations are expected to coincide everywhere.
 
 import argparse
 import itertools
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from pplogic import pqentail, prop
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the tests package
 
-
-def semantic_class_pool(atom_indices, rounds=3):
-    scope = frozenset(atom_indices)
-    seen = {}
-
-    def add(f):
-        key = prop._models_mask(f, scope)
-        if key not in seen:
-            seen[key] = f
-
-    for i in sorted(atom_indices):
-        add(prop.Atom(i))
-    for _ in range(rounds):
-        current = list(seen.values())
-        for f in current:
-            add(prop.Not(f))
-        for a in current:
-            for b in current:
-                add(prop.Implies(a, b))
-                add(prop.conj(a, b))
-                add(prop.disj(a, b))
-    return list(seen.values())
+from pplogic import pqentail
+from tests.helpers import semantic_class_pool
 
 
 def main():

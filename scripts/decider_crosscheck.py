@@ -11,77 +11,12 @@ solver command.
 import argparse
 import random
 import sys
-from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the tests package
 
 from pplogic import rcof
-
-
-def random_sentence(rng, n_vars):
-    def atom():
-        coeffs = {i: rng.choice([-1, 1]) for i in range(n_vars) if rng.random() < 0.75}
-        lhs = rcof.add_all(
-            [rcof.Mul(rcof.const(v), rcof.Var(i)) for i, v in sorted(coeffs.items())]
-        )
-        const = rcof.const(Fraction(rng.randint(-16, 16), 8))
-        return rng.choice([rcof.Le, rcof.Lt])(lhs, const)
-
-    def tree(depth):
-        if depth == 0 or rng.random() < 0.45:
-            return atom()
-        ctor = rng.choice([rcof.And, rcof.Or, rcof.Implies, rcof.Not])
-        if ctor is rcof.Not:
-            return rcof.Not(tree(depth - 1))
-        return ctor(tree(depth - 1), tree(depth - 1))
-
-    return tree(2)
-
-
-def grid_refuted(matrix):
-    axis = np.arange(-24, 25, dtype=np.float64) / 8.0
-    table = rcof.VarTable.of(matrix)
-
-    def term(t, arrays):
-        if isinstance(t, rcof.Const):
-            return float(t.value)
-        if isinstance(t, rcof.Var):
-            return arrays[t.index]
-        if isinstance(t, rcof.Neg):
-            return -term(t.operand, arrays)
-        if isinstance(t, rcof.Add):
-            return term(t.left, arrays) + term(t.right, arrays)
-        return term(t.left, arrays) * term(t.right, arrays)
-
-    def formula(f, arrays):
-        if isinstance(f, rcof.Eq):
-            return np.equal(term(f.left, arrays), term(f.right, arrays))
-        if isinstance(f, rcof.Lt):
-            return np.less(term(f.left, arrays), term(f.right, arrays))
-        if isinstance(f, rcof.Le):
-            return np.less_equal(term(f.left, arrays), term(f.right, arrays))
-        if isinstance(f, rcof.Not):
-            return np.logical_not(formula(f.operand, arrays))
-        if isinstance(f, rcof.And):
-            return np.logical_and(formula(f.left, arrays), formula(f.right, arrays))
-        if isinstance(f, rcof.Or):
-            return np.logical_or(formula(f.left, arrays), formula(f.right, arrays))
-        return np.logical_or(
-            np.logical_not(formula(f.antecedent, arrays)), formula(f.consequent, arrays)
-        )
-
-    if not table.numeric:
-        return not formula(matrix, {})
-    first, rest = table.numeric[0], table.numeric[1:]
-    shapes = {
-        v: axis.reshape((-1,) + (1,) * (len(rest) - k - 1)) for k, v in enumerate(rest)
-    }
-    for value in axis:
-        arrays = dict(shapes)
-        arrays[first] = value
-        if not np.all(formula(matrix, arrays)):
-            return True
-    return False
+from tests.helpers import grid_refuted, random_linear_sentence
 
 
 def main():
@@ -95,7 +30,7 @@ def main():
     rng = random.Random(args.seed)
     verdicts = {"valid": 0, "invalid": 0}
     for k in range(args.count):
-        matrix = random_sentence(rng, rng.randint(1, args.max_vars))
+        matrix = random_linear_sentence(rng, rng.randint(1, args.max_vars))
         decision = rcof.decide_universal_linear(matrix)
         verdicts[decision.status] += 1
         if decision.status == rcof.INVALID:

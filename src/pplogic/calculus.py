@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple, Union
 
-from . import ppl, prop, rcof
+from . import ppl, prop, rcof, validity
 from .config import Config
 
 
@@ -174,13 +174,12 @@ def check_rr(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
     scope: prop.Scope = frozenset()
     for a in everything:
         scope = scope | prop.atoms_of(a)
-    q = ppl.build_Q(everything, scope, cap=config.scope_cap)
-    side = [q]
-    for a, rel, t in hypotheses:
-        side.append(_REL_CTORS[rel](rcof.FormulaVar(a), t))
+    side = [_REL_CTORS[rel](rcof.FormulaVar(a), t) for a, rel, t in hypotheses]
     a, rel, t = conclusion
-    matrix = rcof.Implies(rcof.and_all(side), _REL_CTORS[rel](rcof.FormulaVar(a), t))
-    return rcof.decide(matrix, config)
+    psi = _REL_CTORS[rel](rcof.FormulaVar(a), t)
+    if side:
+        psi = rcof.Implies(rcof.and_all(side), psi)
+    return validity.decide_over_scope(everything, scope, psi, config)
 
 
 # -- derivation checking ------------------------------------------------------------
@@ -236,6 +235,8 @@ def check_derivation(d: Derivation, config: Config = None) -> DerivationReport:
             except RrShapeError as e:
                 decision, detail = None, str(e)
                 ok = False
+            except prop.ScopeCapError as e:
+                decision = rcof.Decision(rcof.UNSUPPORTED, reason=str(e))
             if decision is not None:
                 if decision.status == rcof.UNSUPPORTED:
                     report.unsupported = True

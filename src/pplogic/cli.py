@@ -62,7 +62,6 @@ def _config(args) -> Config:
         timeout=args.timeout,
         scope_cap=args.scope_cap,
         clause_cap=args.clause_cap,
-        fmt=args.fmt,
     )
 
 
@@ -234,7 +233,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for name in ("timeout", "scope_cap", "clause_cap"):
+        if not getattr(args, name) > 0:
+            parser.error(f"--{name.replace('_', '-')} must be positive")
     return _COMMANDS[args.command](args)
 
 

@@ -15,7 +15,6 @@ class Config:
     timeout: float = 30.0  # seconds per external solver call
     scope_cap: int = 16  # atoms enumerable per scope
     clause_cap: int = 4096  # clauses tolerated in a negated matrix
-    fmt: str = "text"  # "text" | "json"
 
     def __post_init__(self):
         if self.scope_cap <= 0 or self.clause_cap <= 0:

@@ -111,23 +111,44 @@ def translate(phi: PplFormula) -> rcof.Formula:
     return rcof.Implies(translate(phi.antecedent), translate(phi.consequent))
 
 
-def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rcof.Formula:
-    """Probability constraints over a scope, as one field conjunction.
+def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP):
+    """The distribution polytope over a scope, as linear rows, and each
+    formula's probability as a sum over it.
 
-    (i) each point-formula variable lies in [0,1]; (ii) the point
-    variables sum to 1; (iii) each formula's variable equals the sum of
-    the variables of its full-scope DNF conjuncts (an empty sum is the
-    zero term).  The conjunct variables are shared with (i) because every
-    DNF conjunct is itself a point formula.
+    Variable m is the mass y_m of the m-th subset of the scope in ascending
+    bitmask order; the rows say y_m >= 0 and sum_m y_m = 1.  The second
+    result maps each formula to the coefficients {m: 1} of its models, whose
+    sum is its probability.
     """
-    alphas = list(dict.fromkeys(alphas))
-    if not alphas:
-        raise ValueError("need at least one formula")
     scope = frozenset(scope)
     for a in alphas:
         if not prop.atoms_of(a) <= scope:
             raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
     prop._check_enumerable(scope, cap)
+    n = 1 << len(scope)
+    rows = [rcof.LinearAtom.make({m: -rcof.ONE_F}, rcof.ZERO_F, rcof.REL_LE) for m in range(n)]
+    rows.append(rcof.LinearAtom.make(dict.fromkeys(range(n), rcof.ONE_F), -rcof.ONE_F, rcof.REL_EQ))
+    sums = {}
+    for a in alphas:
+        bits = prop._models_mask(a, scope)
+        sums[a] = {m: rcof.ONE_F for m in range(n) if bits >> m & 1}
+    return rows, sums
+
+
+def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rcof.Formula:
+    """The constraints of ``distribution_rows`` as one field conjunction,
+    the form rendered as SMT-LIB for external solvers.
+
+    (i) each point-formula variable lies in [0,1]; (ii) the point
+    variables sum to 1; (iii) each formula's variable equals the sum of
+    the variables of its models' point formulas (an empty sum is the zero
+    term).
+    """
+    alphas = list(dict.fromkeys(alphas))
+    if not alphas:
+        raise ValueError("need at least one formula")
+    scope = frozenset(scope)
+    _, sums = distribution_rows(alphas, scope, cap)
     point_vars = [
         rcof.FormulaVar(prop.phi(scope, U)) for U in prop.subsets_ascending(scope)
     ]
@@ -137,8 +158,7 @@ def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rco
         parts.append(rcof.Le(x, rcof.ONE))
     parts.append(rcof.Eq(rcof.add_all(point_vars), rcof.ONE))
     for a in alphas:
-        conjuncts = prop.dnf(a, scope, cap)
-        total = rcof.add_all(rcof.FormulaVar(c.formula()) for c in conjuncts)
+        total = rcof.add_all(point_vars[m] for m in sums[a])
         parts.append(rcof.Eq(rcof.FormulaVar(a), total))
     return rcof.and_all(parts)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from . import prop, rcof, stochval
+from . import ppl, prop, rcof, stochval
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,24 +76,15 @@ def find_refuting_valuation(
     A = prop.atoms_of(alpha)
     for d in deltas:
         A = A | prop.atoms_of(d)
-    prop._check_enumerable(A, cap)
-    n = 1 << len(A)
-    atoms = []
-    # simplex: y_m >= 0, sum y_m = 1   (variable m is the mass of subset m)
-    for m in range(n):
-        atoms.append(rcof.LinearAtom.make({m: Fraction(-1)}, ZERO, rcof.REL_LE))
-    atoms.append(rcof.LinearAtom.make({m: ONE for m in range(n)}, -ONE, rcof.REL_EQ))
+    atoms, sums = ppl.distribution_rows([*deltas, alpha], A, cap)
     for d in deltas:
-        bits = prop._models_mask(d, A)
-        coeffs = {m: -ONE for m in range(n) if bits >> m & 1}
+        coeffs = {m: -c for m, c in sums[d].items()}
         atoms.append(rcof.LinearAtom.make(coeffs, p, rcof.REL_LE))  # p - sum <= 0
-    bits = prop._models_mask(alpha, A)
-    coeffs = {m: ONE for m in range(n) if bits >> m & 1}
-    atoms.append(rcof.LinearAtom.make(coeffs, -q, rcof.REL_LT))  # sum - q < 0
+    atoms.append(rcof.LinearAtom.make(sums[alpha], -q, rcof.REL_LT))  # sum - q < 0
     values = rcof.fm_feasible(atoms)
     if values is None:
         return None
-    joint = stochval.FinDist.from_masks(A, {m: values.get(m, ZERO) for m in range(n)})
+    joint = stochval.FinDist.from_masks(A, {m: values.get(m, ZERO) for m in range(1 << len(A))})
     return stochval.StochasticValuation(A, joint)
 
 

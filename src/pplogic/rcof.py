@@ -7,13 +7,15 @@ formula, keyed by its canonical text).  Formulas combine ``=``, ``<`` and
 ``<=`` atoms with the usual connectives; every decision treats its input
 as the universal closure of the given matrix.
 
-The linear decider negates the matrix, converts to disjunctive normal
-form over atoms, and refutes each disjunct by Fourier-Motzkin elimination
-with exact rationals and strict/non-strict bookkeeping.  Infeasibility of
-every disjunct proves the sentence; a feasible disjunct yields a rational
-counter-assignment recovered by back-substitution.  Sentences outside the
-linear fragment are shipped to an external SMT solver over the reals when
-one is configured.
+The linear decider linearizes the atoms of the matrix once, negates it,
+converts to disjunctive normal form over linear atoms, and refutes each
+disjunct, together with any shared constraint rows, by Fourier-Motzkin
+elimination with exact rationals and strict/non-strict bookkeeping.  A
+formula variable may be defined as a sum of point masses rather than
+stand alone.  Infeasibility of every disjunct proves the sentence; a
+feasible disjunct yields a rational counter-assignment recovered by
+back-substitution.  Sentences outside the linear fragment are shipped to
+an external SMT solver over the reals when one is configured.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class UnboundVariableError(KeyError):
 
 
 class NonlinearTermError(ValueError):
-    """Raised internally when linearization meets a product of variables."""
+    """Linearization met a product of variables."""
 
 
 class ClauseCapError(RuntimeError):
@@ -94,12 +96,19 @@ def const(value) -> Const:
     return Const(Fraction(value))
 
 
+def _fold_balanced(items: list, ctor):
+    """Pairwise fold into a tree of depth about log2(len(items)), so the
+    recursive walkers stay shallow on the 2^n-part distribution constraints."""
+    while len(items) > 1:
+        items = [ctor(*items[i : i + 2]) if i + 1 < len(items) else items[i]
+                 for i in range(0, len(items), 2)]
+    return items[0]
+
+
 def add_all(terms: Iterable[Term]) -> Term:
-    """Left-folded sum; the empty sum is the zero term."""
-    out = None
-    for t in terms:
-        out = t if out is None else Add(out, t)
-    return ZERO if out is None else out
+    """Balanced sum; the empty sum is the zero term."""
+    terms = list(terms)
+    return _fold_balanced(terms, Add) if terms else ZERO
 
 
 # -- formulas -----------------------------------------------------------------
@@ -151,12 +160,11 @@ _ATOMS = (Eq, Lt, Le)
 
 
 def and_all(formulas: Iterable[Formula]) -> Formula:
-    out = None
-    for f in formulas:
-        out = f if out is None else And(out, f)
-    if out is None:
+    """Balanced conjunction of a non-empty sequence."""
+    formulas = list(formulas)
+    if not formulas:
         raise ValueError("empty conjunction of field formulas")
-    return out
+    return _fold_balanced(formulas, And)
 
 
 # -- assignments and evaluation -------------------------------------------------
@@ -218,60 +226,46 @@ def eval_formula(f: Formula, rho: Assignment) -> bool:
 # -- variable table -------------------------------------------------------------
 
 class VarTable:
-    """Deterministic integer ids for the variables of a formula: numbered
-    variables first (by index), then formula variables (by key)."""
+    """Integer ids for the variables of a linear system, handed out on first
+    use while linearizing.
 
-    def __init__(self, numeric: list, formula_vars: list):
-        self.numeric = numeric
-        self.formula_vars = formula_vars
-        self._ids = {("n", k): i for i, k in enumerate(numeric)}
-        base = len(numeric)
-        self._ids.update({("f", fv.key): base + i for i, fv in enumerate(formula_vars)})
+    A table over a scope of n atoms reserves ids 0 .. 2^n - 1 for the point
+    masses of the scope's subsets, in ascending bitmask order.  A formula
+    variable listed in ``sums`` is no variable of its own: it stands for the
+    given sum of point masses, the probability of a formula being the mass
+    of its models.  Every other variable gets the next free id.
+    """
 
-    @staticmethod
-    def of(f: Formula) -> "VarTable":
-        nums: set = set()
-        fvars: dict = {}
+    def __init__(self, sums: Optional[Mapping] = None, scope: prop.Scope = frozenset()):
+        self.sums = sums or {}  # formula -> {point id: coefficient}
+        self.scope = frozenset(scope)
+        self.numeric: dict = {}  # index -> id
+        self.formula_vars: dict = {}  # key -> id
+        self._next = 1 << len(self.scope) if self.scope else 0
 
-        def walk_term(t: Term):
-            if isinstance(t, Var):
-                nums.add(t.index)
-            elif isinstance(t, FormulaVar):
-                fvars.setdefault(t.key, t)
-            elif isinstance(t, Neg):
-                walk_term(t.operand)
-            elif isinstance(t, (Add, Mul)):
-                walk_term(t.left)
-                walk_term(t.right)
-
-        def walk(g: Formula):
-            if isinstance(g, _ATOMS):
-                walk_term(g.left)
-                walk_term(g.right)
-            elif isinstance(g, Not):
-                walk(g.operand)
-            elif isinstance(g, (And, Or)):
-                walk(g.left)
-                walk(g.right)
-            else:
-                walk(g.antecedent)
-                walk(g.consequent)
-
-        walk(f)
-        return VarTable(sorted(nums), [fvars[k] for k in sorted(fvars)])
-
-    def __len__(self) -> int:
-        return len(self.numeric) + len(self.formula_vars)
-
-    def id_of(self, v: Union[Var, FormulaVar]) -> int:
-        if isinstance(v, Var):
-            return self._ids[("n", v.index)]
-        return self._ids[("f", v.key)]
+    def coeffs_of(self, v: Union[Var, FormulaVar]) -> Mapping[int, Fraction]:
+        """The variable as a linear form over ids; callers must not mutate it."""
+        if isinstance(v, FormulaVar) and v.formula in self.sums:
+            return self.sums[v.formula]
+        ids, name = (self.numeric, v.index) if isinstance(v, Var) else (self.formula_vars, v.key)
+        if name not in ids:
+            ids[name] = self._next
+            self._next += 1
+        return {ids[name]: ONE_F}
 
     def assignment_of(self, values: Mapping[int, Fraction]) -> Assignment:
-        numeric = {k: values.get(i, ZERO_F) for i, k in enumerate(self.numeric)}
-        base = len(self.numeric)
-        probs = {fv.key: values.get(base + i, ZERO_F) for i, fv in enumerate(self.formula_vars)}
+        """The assignment of a solution: every variable met, every point
+        formula of the scope at its mass, every defined formula variable at
+        its sum (ids missing from ``values`` count as 0)."""
+        numeric = {k: values.get(i, ZERO_F) for k, i in self.numeric.items()}
+        probs = {key: values.get(i, ZERO_F) for key, i in self.formula_vars.items()}
+        if self.scope:
+            for m, U in enumerate(prop.subsets_ascending(self.scope)):
+                probs[prop.to_text(prop.phi(self.scope, U))] = values.get(m, ZERO_F)
+        for f, coeffs in self.sums.items():
+            probs[prop.to_text(f)] = sum(
+                (c * values.get(m, ZERO_F) for m, c in coeffs.items()), start=ZERO_F
+            )
         return Assignment(numeric, probs)
 
 
@@ -282,7 +276,7 @@ def _linearize(t: Term, table: VarTable):
     if isinstance(t, Const):
         return {}, t.value
     if isinstance(t, (Var, FormulaVar)):
-        return {table.id_of(t): ONE_F}, ZERO_F
+        return table.coeffs_of(t), ZERO_F
     if isinstance(t, Neg):
         coeffs, c = _linearize(t.operand, table)
         return {k: -v for k, v in coeffs.items()}, -c
@@ -304,27 +298,11 @@ def _linearize(t: Term, table: VarTable):
 
 def classify(f: Formula) -> str:
     """"linear" when every atom's terms have degree at most one, else "nonlinear"."""
-    table = VarTable.of(f)
     try:
-        for atom in _atoms_of(f):
-            _linearize(atom.left, table)
-            _linearize(atom.right, table)
+        _linear_matrix(f, VarTable())
     except NonlinearTermError:
         return "nonlinear"
     return "linear"
-
-
-def _atoms_of(f: Formula):
-    if isinstance(f, _ATOMS):
-        yield f
-    elif isinstance(f, Not):
-        yield from _atoms_of(f.operand)
-    elif isinstance(f, (And, Or)):
-        yield from _atoms_of(f.left)
-        yield from _atoms_of(f.right)
-    else:
-        yield from _atoms_of(f.antecedent)
-        yield from _atoms_of(f.consequent)
 
 
 # -- linear atoms -----------------------------------------------------------------
@@ -375,6 +353,18 @@ def _atom_to_linear(atom, table: VarTable) -> LinearAtom:
         coeffs[k] = coeffs.get(k, ZERO_F) - v
     rel = {Eq: REL_EQ, Lt: REL_LT, Le: REL_LE}[type(atom)]
     return LinearAtom.make(coeffs, kl - kr, rel)
+
+
+def _linear_matrix(f: Formula, table: VarTable) -> Formula:
+    """The matrix with every atom replaced by its LinearAtom, in one pass
+    that also detects nonlinearity (NonlinearTermError)."""
+    if isinstance(f, _ATOMS):
+        return _atom_to_linear(f, table)
+    if isinstance(f, Not):
+        return Not(_linear_matrix(f.operand, table))
+    if isinstance(f, Implies):
+        return Implies(_linear_matrix(f.antecedent, table), _linear_matrix(f.consequent, table))
+    return type(f)(_linear_matrix(f.left, table), _linear_matrix(f.right, table))
 
 
 # -- Fourier-Motzkin feasibility ----------------------------------------------------
@@ -670,14 +660,15 @@ def _eliminate_inequalities(rows, target: int, trace) -> list:
 
 
 # -- negation and DNF --------------------------------------------------------------
+# on linearized matrices:  not e = 0  is  e < 0 or -e < 0,  not e <= 0  is
+# -e < 0,  and  not e < 0  is  -e <= 0
 
 def _negate(f: Formula) -> Formula:
-    if isinstance(f, Eq):
-        return Or(Lt(f.left, f.right), Lt(f.right, f.left))
-    if isinstance(f, Lt):
-        return Le(f.right, f.left)
-    if isinstance(f, Le):
-        return Lt(f.right, f.left)
+    if isinstance(f, LinearAtom):
+        flipped = tuple((k, -v) for k, v in f.coeffs)
+        if f.rel == REL_EQ:
+            return Or(LinearAtom(f.coeffs, f.const, REL_LT), LinearAtom(flipped, -f.const, REL_LT))
+        return LinearAtom(flipped, -f.const, REL_LT if f.rel == REL_LE else REL_LE)
     if isinstance(f, Not):
         return f.operand
     if isinstance(f, And):
@@ -688,8 +679,9 @@ def _negate(f: Formula) -> Formula:
 
 
 def _dnf_clauses(f: Formula, cap: int) -> list:
-    """Clauses (lists of atoms) of the atom-level disjunctive normal form."""
-    if isinstance(f, _ATOMS):
+    """Clauses (lists of LinearAtoms) of the disjunctive normal form of a
+    linearized matrix."""
+    if isinstance(f, LinearAtom):
         return [[f]]
     if isinstance(f, Not):
         return _dnf_clauses(_negate(f.operand), cap)
@@ -730,21 +722,31 @@ class Decision:
         return self.status == VALID
 
 
-def decide_universal_linear(matrix: Formula, clause_cap: int = 4096) -> Decision:
-    """Decide the universal closure of a linear quantifier-free matrix.
+def decide_universal_linear(
+    matrix: Formula,
+    clause_cap: int = 4096,
+    rows: Iterable[LinearAtom] = (),
+    table: Optional[VarTable] = None,
+) -> Decision:
+    """Decide the universal closure of ``rows -> matrix`` for a linear matrix.
 
-    Valid iff every disjunct of the negated matrix is infeasible; a feasible
-    disjunct yields a witness assignment that refutes the matrix.
+    ``rows`` are constraints every disjunct shares, such as the distribution
+    polytope, over the ids of ``table``, which may define formula variables
+    as sums of them.  Each atom of the matrix is linearized once, which
+    raises NonlinearTermError for a product of variables.  Valid iff no
+    disjunct of the negated matrix is feasible together with ``rows``; a
+    feasible disjunct yields a witness assignment that refutes the matrix.
     """
-    table = VarTable.of(matrix)
+    table = VarTable() if table is None else table
+    linear = _linear_matrix(matrix, table)
     try:
-        clauses = _dnf_clauses(_negate(matrix), clause_cap)
+        clauses = _dnf_clauses(_negate(linear), clause_cap)
     except ClauseCapError as e:
         return Decision(UNSUPPORTED, reason=str(e))
+    rows = list(rows)
     for clause in clauses:
-        atoms = [_atom_to_linear(a, table) for a in clause]
         try:
-            values = fm_feasible(atoms)
+            values = fm_feasible(rows + clause)
         except FmBlowupError as e:
             return Decision(UNSUPPORTED, reason=str(e))
         if values is not None:
@@ -764,34 +766,35 @@ def _smt_name(v) -> str:
     return f"xa_{digest}"
 
 
-def _smt_term(t: Term) -> str:
+def _smt_term(t: Term, seen: set) -> str:
     if isinstance(t, Const):
         num, den = t.value.numerator, t.value.denominator
         body = str(num) if den == 1 else f"(/ {num} {den})"
         return f"(- {body.replace('-', '', 1)})" if num < 0 else body
     if isinstance(t, (Var, FormulaVar)):
+        seen.add(t)
         return _smt_name(t)
     if isinstance(t, Neg):
-        return f"(- {_smt_term(t.operand)})"
+        return f"(- {_smt_term(t.operand, seen)})"
     if isinstance(t, Add):
-        return f"(+ {_smt_term(t.left)} {_smt_term(t.right)})"
-    return f"(* {_smt_term(t.left)} {_smt_term(t.right)})"
+        return f"(+ {_smt_term(t.left, seen)} {_smt_term(t.right, seen)})"
+    return f"(* {_smt_term(t.left, seen)} {_smt_term(t.right, seen)})"
 
 
-def _smt_formula(f: Formula) -> str:
+def _smt_formula(f: Formula, seen: set) -> str:
     if isinstance(f, Eq):
-        return f"(= {_smt_term(f.left)} {_smt_term(f.right)})"
+        return f"(= {_smt_term(f.left, seen)} {_smt_term(f.right, seen)})"
     if isinstance(f, Lt):
-        return f"(< {_smt_term(f.left)} {_smt_term(f.right)})"
+        return f"(< {_smt_term(f.left, seen)} {_smt_term(f.right, seen)})"
     if isinstance(f, Le):
-        return f"(<= {_smt_term(f.left)} {_smt_term(f.right)})"
+        return f"(<= {_smt_term(f.left, seen)} {_smt_term(f.right, seen)})"
     if isinstance(f, Not):
-        return f"(not {_smt_formula(f.operand)})"
+        return f"(not {_smt_formula(f.operand, seen)})"
     if isinstance(f, And):
-        return f"(and {_smt_formula(f.left)} {_smt_formula(f.right)})"
+        return f"(and {_smt_formula(f.left, seen)} {_smt_formula(f.right, seen)})"
     if isinstance(f, Or):
-        return f"(or {_smt_formula(f.left)} {_smt_formula(f.right)})"
-    return f"(=> {_smt_formula(f.antecedent)} {_smt_formula(f.consequent)})"
+        return f"(or {_smt_formula(f.left, seen)} {_smt_formula(f.right, seen)})"
+    return f"(=> {_smt_formula(f.antecedent, seen)} {_smt_formula(f.consequent, seen)})"
 
 
 def emit_smtlib(matrix: Formula) -> str:
@@ -801,16 +804,19 @@ def emit_smtlib(matrix: Formula) -> str:
     valid.  Variable names are deterministic; a comment table maps each
     probability variable back to its formula.
     """
-    table = VarTable.of(matrix)
+    seen: set = set()
+    assertion = f"(assert (not {_smt_formula(matrix, seen)}))"
+    numeric = sorted(v.index for v in seen if isinstance(v, Var))
+    formula_vars = sorted((v for v in seen if isinstance(v, FormulaVar)), key=lambda v: v.key)
     lines = ["; validity of a universal sentence via unsat of its negation"]
-    for fv in table.formula_vars:
+    for fv in formula_vars:
         lines.append(f"; {_smt_name(fv)} : probability of `{fv.key}`")
     lines.append("(set-logic QF_NRA)")
-    for k in table.numeric:
+    for k in numeric:
         lines.append(f"(declare-const xk_{k} Real)")
-    for fv in table.formula_vars:
+    for fv in formula_vars:
         lines.append(f"(declare-const {_smt_name(fv)} Real)")
-    lines.append(f"(assert (not {_smt_formula(matrix)}))")
+    lines.append(assertion)
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
@@ -856,8 +862,10 @@ def decide(matrix: Formula, config=None) -> Decision:
     from .config import Config
 
     config = config or Config()
-    if classify(matrix) == "linear":
+    try:
         return decide_universal_linear(matrix, clause_cap=config.clause_cap)
+    except NonlinearTermError:
+        pass
     command = config.resolved_solver()
     if command is None:
         return Decision(UNSUPPORTED, reason="nonlinear sentence and no SMT solver configured")

@@ -72,20 +72,35 @@ def valuation_from_assignment(rho: rcof.Assignment, scope: prop.Scope) -> stochv
     return stochval.StochasticValuation(scope, stochval.FinDist.from_masks(scope, masses))
 
 
+def decide_over_scope(alphas, scope: prop.Scope, psi: rcof.Formula, config: Config) -> rcof.Decision:
+    """Decide the universal closure of ``Q -> psi``, Q the distribution
+    constraints over ``scope`` on the probability variables of ``alphas``.
+
+    A linear psi is decided over the polytope rows, each formula variable
+    being the mass of its formula's models; a nonlinear one goes to the
+    external-solver route with Q rendered as a field formula.
+    """
+    rows, sums = ppl.distribution_rows(alphas, scope, cap=config.scope_cap)
+    try:
+        return rcof.decide_universal_linear(
+            psi, config.clause_cap, rows, rcof.VarTable(sums, scope)
+        )
+    except rcof.NonlinearTermError:
+        q = ppl.build_Q(alphas, scope, cap=config.scope_cap)
+        return rcof.decide(rcof.Implies(q, psi), config)
+
+
 def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
     """Decide whether ``phi`` holds under every valuation and assignment.
 
     Pipeline: collect the atoms and the formulas under probability atoms,
-    translate the formula, build the distribution constraints over the full
-    atom set, and decide the universal closure of their implication.
+    translate the formula, and decide it under the distribution
+    constraints over the full atom set.
     """
     config = config or Config()
     scope = ppl_scope(phi)
     assert scope, "probability atoms always contribute at least one atom"
-    alphas = probability_formulas(phi)
-    psi = ppl.translate(phi)
-    q = ppl.build_Q(alphas, scope, cap=config.scope_cap)
-    decision = rcof.decide(rcof.Implies(q, psi), config)
+    decision = decide_over_scope(probability_formulas(phi), scope, ppl.translate(phi), config)
     if decision.status == rcof.INVALID and decision.witness is not None:
         V = valuation_from_assignment(decision.witness, scope)
         if ppl.ppl_sat(V, decision.witness, phi):  # pragma: no cover - self-check

@@ -1,11 +1,12 @@
-"""Shared generators for randomized and pool-based tests."""
+"""Shared generators and oracles for randomized and pool-based tests, also
+used by the experiment scripts."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from pplogic import prop, stochval
+from pplogic import prop, rcof, stochval
 
 
 def random_formula(rng: random.Random, atom_indices, depth: int) -> prop.PropFormula:
@@ -63,3 +64,91 @@ def semantic_class_pool(atom_indices, rounds: int = 3) -> list:
                 add(prop.conj(a, b))
                 add(prop.disj(a, b))
     return list(seen.values())
+
+
+def random_linear_sentence(rng: random.Random, n_vars: int) -> rcof.Formula:
+    """A random boolean combination of depth <= 2 over linear atoms.
+
+    Unit coefficients and eighth constants keep every pinned refutation
+    region on the 1/8 grid, so ``grid_refuted`` is a complete refuter;
+    equality atoms (which can pin solutions at finer denominators) are
+    exercised against exact expectations in the decider's own tests.
+    """
+    def atom():
+        coeffs = {
+            i: rng.choice([-1, 1]) for i in range(n_vars) if rng.random() < 0.75
+        }
+        lhs = rcof.add_all(
+            [rcof.Mul(rcof.const(v), rcof.Var(i)) for i, v in sorted(coeffs.items())]
+        )
+        const = rcof.const(Fraction(rng.randint(-16, 16), 8))
+        ctor = rng.choice([rcof.Le, rcof.Lt])
+        return ctor(lhs, const)
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.45:
+            return atom()
+        ctor = rng.choice([rcof.And, rcof.Or, rcof.Implies, rcof.Not])
+        if ctor is rcof.Not:
+            return rcof.Not(tree(depth - 1))
+        return ctor(tree(depth - 1), tree(depth - 1))
+
+    return tree(2)
+
+
+def grid_refuted(matrix: rcof.Formula) -> bool:
+    """Dense grid search over [-3,3]^n at step 1/8 for a point refuting a
+    linear matrix.
+
+    All grid values and atom coefficients are dyadic rationals of small
+    magnitude, so float64 evaluation is exact.
+    """
+    import numpy as np
+
+    axis = np.arange(-24, 25, dtype=np.float64) / 8.0
+    table = rcof.VarTable()
+    rcof._linear_matrix(matrix, table)
+    numeric = sorted(table.numeric)
+
+    def eval_term(t, arrays):
+        if isinstance(t, rcof.Const):
+            return float(t.value)
+        if isinstance(t, rcof.Var):
+            return arrays[t.index]
+        if isinstance(t, rcof.Neg):
+            return -eval_term(t.operand, arrays)
+        if isinstance(t, rcof.Add):
+            return eval_term(t.left, arrays) + eval_term(t.right, arrays)
+        return eval_term(t.left, arrays) * eval_term(t.right, arrays)
+
+    def eval_formula(f, arrays):
+        if isinstance(f, rcof.Eq):
+            return np.equal(eval_term(f.left, arrays), eval_term(f.right, arrays))
+        if isinstance(f, rcof.Lt):
+            return np.less(eval_term(f.left, arrays), eval_term(f.right, arrays))
+        if isinstance(f, rcof.Le):
+            return np.less_equal(eval_term(f.left, arrays), eval_term(f.right, arrays))
+        if isinstance(f, rcof.Not):
+            return np.logical_not(eval_formula(f.operand, arrays))
+        if isinstance(f, rcof.And):
+            return np.logical_and(eval_formula(f.left, arrays), eval_formula(f.right, arrays))
+        if isinstance(f, rcof.Or):
+            return np.logical_or(eval_formula(f.left, arrays), eval_formula(f.right, arrays))
+        return np.logical_or(
+            np.logical_not(eval_formula(f.antecedent, arrays)),
+            eval_formula(f.consequent, arrays),
+        )
+
+    if not numeric:
+        return not eval_formula(matrix, {})
+    first, rest = numeric[0], numeric[1:]
+    shapes = {
+        v: axis.reshape((-1,) + (1,) * (len(rest) - k - 1))
+        for k, v in enumerate(rest)
+    }
+    for value in axis:  # chunk along the first variable to bound memory
+        arrays = dict(shapes)
+        arrays[first] = value
+        if not np.all(eval_formula(matrix, arrays)):
+            return True
+    return False

@@ -14,7 +14,13 @@ from pathlib import Path
 from pplogic import calculus, pqentail, ppl, prop, rcof, stochval, validity
 from pplogic.config import Config
 
-from .helpers import random_formula, random_valuation, semantic_class_pool
+from .helpers import (
+    grid_refuted,
+    random_formula,
+    random_linear_sentence,
+    random_valuation,
+    semantic_class_pool,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -222,100 +228,17 @@ def test_07_classical_entailment_embeds_conservatively():
         assert lifted > 1000
 
 
-def _random_linear_sentence(rng: random.Random, n_vars: int):
-    # unit coefficients and eighth constants keep every pinned refutation
-    # region on the 1/8 grid, so the grid search is a complete refuter;
-    # equality atoms (which can pin solutions at finer denominators) are
-    # exercised against exact expectations in the decider's own tests
-    def atom():
-        coeffs = {
-            i: rng.choice([-1, 1]) for i in range(n_vars) if rng.random() < 0.75
-        }
-        lhs = rcof.add_all(
-            [rcof.Mul(rcof.const(v), rcof.Var(i)) for i, v in sorted(coeffs.items())]
-        )
-        const = rcof.const(F(rng.randint(-16, 16), 8))
-        ctor = rng.choice([rcof.Le, rcof.Lt])
-        return ctor(lhs, const)
-
-    def tree(depth):
-        if depth == 0 or rng.random() < 0.45:
-            return atom()
-        ctor = rng.choice([rcof.And, rcof.Or, rcof.Implies, rcof.Not])
-        if ctor is rcof.Not:
-            return rcof.Not(tree(depth - 1))
-        return ctor(tree(depth - 1), tree(depth - 1))
-
-    return tree(2)
-
-
-def _grid_refuted(matrix, n_vars: int) -> bool:
-    """Dense grid search over [-3,3]^n at step 1/8 for a refuting point.
-
-    All grid values and atom coefficients are dyadic rationals of small
-    magnitude, so float64 evaluation is exact.
-    """
-    import numpy as np
-
-    axis = np.arange(-24, 25, dtype=np.float64) / 8.0
-    table = rcof.VarTable.of(matrix)
-
-    def eval_term(t, arrays):
-        if isinstance(t, rcof.Const):
-            return float(t.value)
-        if isinstance(t, rcof.Var):
-            return arrays[t.index]
-        if isinstance(t, rcof.Neg):
-            return -eval_term(t.operand, arrays)
-        if isinstance(t, rcof.Add):
-            return eval_term(t.left, arrays) + eval_term(t.right, arrays)
-        return eval_term(t.left, arrays) * eval_term(t.right, arrays)
-
-    def eval_formula(f, arrays):
-        if isinstance(f, rcof.Eq):
-            return np.equal(eval_term(f.left, arrays), eval_term(f.right, arrays))
-        if isinstance(f, rcof.Lt):
-            return np.less(eval_term(f.left, arrays), eval_term(f.right, arrays))
-        if isinstance(f, rcof.Le):
-            return np.less_equal(eval_term(f.left, arrays), eval_term(f.right, arrays))
-        if isinstance(f, rcof.Not):
-            return np.logical_not(eval_formula(f.operand, arrays))
-        if isinstance(f, rcof.And):
-            return np.logical_and(eval_formula(f.left, arrays), eval_formula(f.right, arrays))
-        if isinstance(f, rcof.Or):
-            return np.logical_or(eval_formula(f.left, arrays), eval_formula(f.right, arrays))
-        return np.logical_or(
-            np.logical_not(eval_formula(f.antecedent, arrays)),
-            eval_formula(f.consequent, arrays),
-        )
-
-    if not table.numeric:
-        return not eval_formula(matrix, {})
-    first, rest = table.numeric[0], table.numeric[1:]
-    shapes = {
-        v: axis.reshape((-1,) + (1,) * (len(rest) - k - 1))
-        for k, v in enumerate(rest)
-    }
-    for value in axis:  # chunk along the first variable to bound memory
-        arrays = dict(shapes)
-        arrays[first] = value
-        result = eval_formula(matrix, arrays)
-        if not np.all(result):
-            return True
-    return False
-
-
 def test_08_linear_decider_matches_grid_oracle_and_external_path():
     with criterion("linear-decider-oracle", 60.0):
         rng = random.Random(109)
         for _ in range(100):
             n_vars = rng.randint(1, 4)
-            matrix = _random_linear_sentence(rng, n_vars)
+            matrix = random_linear_sentence(rng, n_vars)
             decision = rcof.decide_universal_linear(matrix)
             assert decision.status in (rcof.VALID, rcof.INVALID)
             if decision.status == rcof.INVALID:
                 assert rcof.eval_formula(matrix, decision.witness) is False
-            refuted = _grid_refuted(matrix, n_vars)
+            refuted = grid_refuted(matrix)
             assert refuted == (decision.status == rcof.INVALID), rcof.emit_smtlib(matrix)
         # external path: only when a solver is available on this machine
         solver = Config().resolved_solver()
@@ -323,7 +246,7 @@ def test_08_linear_decider_matches_grid_oracle_and_external_path():
             print("  (external SMT path: no solver available, skipped)")
         else:
             for _ in range(50):
-                matrix = _random_linear_sentence(rng, rng.randint(1, 3))
+                matrix = random_linear_sentence(rng, rng.randint(1, 3))
                 internal = rcof.decide_universal_linear(matrix).status
                 external = rcof.run_external(matrix, solver, 30).status
                 if external != rcof.UNSUPPORTED:

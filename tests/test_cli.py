@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from pplogic import cli
 
@@ -25,6 +26,10 @@ def validate(payload, schema_name):
     schema = json.loads((SCHEMAS / schema_name).read_text())
     validator = jsonschema.Draft7Validator(schema, registry=registry)
     validator.validate(payload)
+
+
+def conj_text(n: int) -> str:
+    return " & ".join(f"B{i}" for i in range(1, n + 1))
 
 
 UNIFORM = str(FIXTURES / "uniform_two_atoms.dist.json")
@@ -83,6 +88,21 @@ class TestValid:
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "valid", "P(B1 <= 1")
         assert code == 2 and "error" in err
+
+    def test_nine_atom_scope_decided(self, capsys):
+        code, out, _ = run(capsys, "valid", f"P({conj_text(9)}) <= 1")
+        assert code == 0 and out.strip() == "valid"
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--scope-cap", "0"), ("--clause-cap", "0"), ("--timeout", "-1")]
+)
+def test_nonpositive_global_values_exit_2(capsys, option, value):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([option, value, "valid", "P(B1) <= 1"])
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert "error:" in err and option in err and "Traceback" not in err
 
 
 class TestPqEntail:
@@ -157,6 +177,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(script))
         assert code == 2 and "rejected" in out
 
+    def test_rr_step_beyond_scope_cap_exits_2(self, capsys, tmp_path):
+        script = tmp_path / "wide.ppl-proof"
+        script.write_text(f"1. P({conj_text(17)}) <= 1 ; RR\n")
+        code, out, err = run(capsys, "check", str(script))
+        assert code == 2 and "rejected" in out
+        assert "scope of size 17 exceeds enumeration cap 16" in out
+        assert "Traceback" not in out + err
+
     def test_solver_flag_reaches_side_conditions(self, capsys, tmp_path):
         stub = tmp_path / "solver.py"
         stub.write_text("#!/usr/bin/env python3\nimport sys\nopen(sys.argv[1]).read()\nprint('unsat')\n")
@@ -184,6 +212,10 @@ class TestEmitSmt:
         _, first, _ = run(capsys, "emit-smt", "P(B1 & B2) < 1/3")
         _, second, _ = run(capsys, "emit-smt", "P(B1 & B2) < 1/3")
         assert first == second
+
+    def test_nine_atom_scope_emits(self, capsys):
+        code, out, _ = run(capsys, "emit-smt", f"P({conj_text(9)}) <= 1")
+        assert code == 0 and out.rstrip().endswith("(check-sat)")
 
     def test_marginal_sum_formula_emits(self, capsys):
         code, out, _ = run(

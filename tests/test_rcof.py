@@ -287,6 +287,16 @@ def test_validity_is_monotone_under_weakening(seed):
         assert rcof.decide_universal_linear(weakened).status == rcof.VALID
 
 
+def _atoms(f) -> list:
+    if isinstance(f, (rcof.Eq, rcof.Lt, rcof.Le)):
+        return [f]
+    if isinstance(f, rcof.Not):
+        return _atoms(f.operand)
+    if isinstance(f, rcof.Implies):
+        return _atoms(f.antecedent) + _atoms(f.consequent)
+    return _atoms(f.left) + _atoms(f.right)
+
+
 def _one_var_refutable(matrix) -> bool:
     """Complete oracle for single-variable matrices.
 
@@ -295,8 +305,8 @@ def _one_var_refutable(matrix) -> bool:
     point beyond each end decides satisfiability of the negation exactly.
     """
     breakpoints = set()
-    for atom in rcof._atoms_of(matrix):
-        table = rcof.VarTable.of(matrix)
+    table = rcof.VarTable()
+    for atom in _atoms(matrix):
         lin = rcof._atom_to_linear(atom, table)
         if lin.coeffs:
             (v, c) = lin.coeffs[0]

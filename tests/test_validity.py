@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pplogic import ppl, prop, rcof, stochval, validity
+from pplogic import calculus, ppl, prop, rcof, stochval, validity
 from pplogic.config import Config
 
 from .helpers import random_formula, random_valuation
@@ -124,3 +124,88 @@ class TestDecideValidity:
             noise = ppl.PplAtom(random_formula(rng, {1, 2}, 2), "<", rcof.Var(0))
             weakened = ppl.PplImplies(noise, base)
             assert validity.decide_validity(weakened).status == rcof.VALID
+
+
+# -- the point-mass polytope against the field-formula Q it replaces ------------
+
+_BOUNDS = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
+
+
+def _random_bound(rng):
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rcof.const(rng.choice(_BOUNDS))
+    if pick == 1:
+        return rcof.Var(rng.randrange(3))
+    return rcof.Add(rcof.Var(rng.randrange(3)), rcof.const(-rng.choice(_BOUNDS)))
+
+
+def _random_threshold(rng):
+    """(alpha, relation, bound) over at most three atoms."""
+    alpha = random_formula(rng, rng.sample([1, 2, 3], rng.randint(1, 3)), 2)
+    return alpha, rng.choice(["=", "<", "<=", ">="]), _random_bound(rng)
+
+
+def _threshold_formula(alpha, rel, bound):
+    if rel in ("=", "<"):
+        return ppl.PplAtom(alpha, rel, bound)
+    return ppl.ple(alpha, bound) if rel == "<=" else ppl.pge(alpha, bound)
+
+
+def _random_ppl(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return _threshold_formula(*_random_threshold(rng))
+    pick = rng.randrange(3)
+    if pick == 0:
+        return ppl.pnot(_random_ppl(rng, depth - 1))
+    if pick == 1:
+        return ppl.pand(_random_ppl(rng, depth - 1), _random_ppl(rng, depth - 1))
+    return ppl.PplImplies(_random_ppl(rng, depth - 1), _random_ppl(rng, depth - 1))
+
+
+def _assert_refutes(decision, phi, scope):
+    if decision.status == rcof.INVALID:
+        V = validity.valuation_from_assignment(decision.witness, scope)
+        assert not ppl.ppl_sat(V, decision.witness, phi), ppl.to_text(phi)
+
+
+def test_decide_validity_matches_field_formula_reference():
+    rng = random.Random(59)
+    statuses = set()
+    for _ in range(150):
+        phi = _random_ppl(rng, 2)
+        scope = validity.ppl_scope(phi)
+        alphas = validity.probability_formulas(phi)
+        reference = rcof.decide(rcof.Implies(ppl.build_Q(alphas, scope), ppl.translate(phi)))
+        decision = validity.decide_validity(phi)
+        assert decision.status == reference.status, ppl.to_text(phi)
+        _assert_refutes(decision, phi, scope)
+        _assert_refutes(reference, phi, scope)
+        statuses.add(decision.status)
+    assert statuses == {rcof.VALID, rcof.INVALID}
+
+
+def test_check_rr_matches_field_formula_reference():
+    rng = random.Random(61)
+    statuses = set()
+    for _ in range(80):
+        hypotheses = [_random_threshold(rng) for _ in range(rng.randint(0, 3))]
+        conclusion = _random_threshold(rng)
+        phi = _threshold_formula(*conclusion)
+        if hypotheses:
+            phi = ppl.PplImplies(
+                ppl.pand_all(_threshold_formula(*h) for h in hypotheses), phi
+            )
+        everything = [a for a, _, _ in hypotheses] + [conclusion[0]]
+        scope = frozenset().union(*(prop.atoms_of(a) for a in everything))
+        side = [ppl.build_Q(everything, scope)]
+        side += [calculus._REL_CTORS[rel](rcof.FormulaVar(a), t) for a, rel, t in hypotheses]
+        a, rel, t = conclusion
+        reference = rcof.decide(
+            rcof.Implies(rcof.and_all(side), calculus._REL_CTORS[rel](rcof.FormulaVar(a), t))
+        )
+        decision = calculus.check_rr(phi)
+        assert decision.status == reference.status, ppl.to_text(phi)
+        _assert_refutes(decision, phi, scope)
+        statuses.add(decision.status)
+    assert statuses == {rcof.VALID, rcof.INVALID}
