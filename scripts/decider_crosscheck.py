@@ -4,8 +4,12 @@
 Generates random universal sentences with unit-coefficient inequality
 atoms and eighth-valued constants, decides each internally, and searches
 the 1/8 grid over [-3,3]^n for refuting points.  Witnesses are re-checked
-by exact evaluation.  Optionally cross-checks against an external SMT
-solver command.
+by exact evaluation.  The grid is sound but not complete, so a fault is a
+sentence the grid refutes but the decider calls valid, or a witness that
+fails exact evaluation; an invalid sentence whose verified witness the grid
+misses (it lies outside the box or between grid points) is counted as
+refuted off-grid.  Optionally cross-checks against an external SMT solver
+command.
 """
 
 import argparse
@@ -29,24 +33,29 @@ def main():
 
     rng = random.Random(args.seed)
     verdicts = {"valid": 0, "invalid": 0}
+    off_grid = 0
     for k in range(args.count):
         matrix = random_linear_sentence(rng, rng.randint(1, args.max_vars))
         decision = rcof.decide_universal_linear(matrix)
         verdicts[decision.status] += 1
-        if decision.status == rcof.INVALID:
-            assert rcof.eval_formula(matrix, decision.witness) is False, "bad witness"
-        refuted = grid_refuted(matrix)
-        if refuted != (decision.status == rcof.INVALID):
-            print(f"instance {k}: DISAGREEMENT")
+        if decision.status == rcof.INVALID and rcof.eval_formula(matrix, decision.witness):
+            print(f"instance {k}: witness does not refute the sentence")
             print(rcof.emit_smtlib(matrix))
             return 1
+        refuted = grid_refuted(matrix)
+        if refuted and decision.status == rcof.VALID:
+            print(f"instance {k}: DISAGREEMENT, the grid refutes a sentence decided valid")
+            print(rcof.emit_smtlib(matrix))
+            return 1
+        off_grid += not refuted and decision.status == rcof.INVALID
         if args.solver:
             external = rcof.run_external(matrix, args.solver, 30)
             if external.status != rcof.UNSUPPORTED and external.status != decision.status:
                 print(f"instance {k}: external solver disagrees")
                 return 1
     print(f"{args.count} sentences: {verdicts['valid']} valid, {verdicts['invalid']} invalid")
-    print("grid oracle agrees on every instance; all witnesses verified")
+    print(f"refuted off-grid: {off_grid} invalid sentences whose witness the grid misses")
+    print("no valid verdict refuted by the grid; all witnesses verified")
     return 0
 
 

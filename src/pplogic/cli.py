@@ -85,8 +85,9 @@ def _cmd_prob(args) -> int:
     try:
         V = _load_valuation(args.valuation)
         alpha = prop.parse(args.formula)
+        prop._check_enumerable(prop.atoms_of(alpha), args.scope_cap)
         value = stochval.prob(V, alpha)
-    except (OSError, stochval.DistributionError, prop.ParseError) as e:
+    except (OSError, stochval.DistributionError, prop.ParseError, prop.ScopeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.fmt == "json":
@@ -195,7 +196,8 @@ def _cmd_emit_smt(args) -> int:
 def _cmd_galois_demo(args) -> int:
     try:
         V = _load_valuation(args.valuation)
-    except (OSError, stochval.DistributionError) as e:
+        prop._check_enumerable(V.carrier, args.scope_cap)
+    except (OSError, stochval.DistributionError, prop.ScopeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     P = stochval.psv(V)
@@ -238,7 +240,11 @@ def main(argv=None) -> int:
     for name in ("timeout", "scope_cap", "clause_cap"):
         if not getattr(args, name) > 0:
             parser.error(f"--{name.replace('_', '-')} must be positive")
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

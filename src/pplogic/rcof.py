@@ -9,13 +9,14 @@ as the universal closure of the given matrix.
 
 The linear decider linearizes the atoms of the matrix once, negates it,
 converts to disjunctive normal form over linear atoms, and refutes each
-disjunct, together with any shared constraint rows, by Fourier-Motzkin
-elimination with exact rationals and strict/non-strict bookkeeping.  A
-formula variable may be defined as a sum of point masses rather than
-stand alone.  Infeasibility of every disjunct proves the sentence; a
-feasible disjunct yields a rational counter-assignment recovered by
-back-substitution.  Sentences outside the linear fragment are shipped to
-an external SMT solver over the reals when one is configured.
+disjunct, together with any shared constraint rows, by an exact general
+simplex with bounds over rationals; strict bounds are shifted by a symbolic
+infinitesimal that is fixed to a concrete rational at the end.  A formula
+variable may be defined as a sum of point masses rather than stand alone.
+Infeasibility of every disjunct proves the sentence; a feasible disjunct
+yields the simplex vertex as a rational counter-assignment.  Sentences
+outside the linear fragment are shipped to an external SMT solver over the
+reals when one is configured.
 """
 
 from __future__ import annotations
@@ -367,296 +368,130 @@ def _linear_matrix(f: Formula, table: VarTable) -> Formula:
     return type(f)(_linear_matrix(f.left, table), _linear_matrix(f.right, table))
 
 
-# -- Fourier-Motzkin feasibility ----------------------------------------------------
-
-_FM_ROW_CAP = 200_000
-
-
-class FmBlowupError(RuntimeError):
-    """Intermediate constraint count exceeded the safety cap."""
-
+# -- feasibility by exact general simplex ---------------------------------------------
+# Values and bounds are delta-rationals: a pair (a, b) stands for a + b*delta
+# with delta a positive infinitesimal, so tuple order is the order of values
+# and a strict bound v < u becomes v <= (u, -1).
 
 def fm_feasible(atoms: Iterable[LinearAtom]) -> Optional[dict]:
     """Decide feasibility of a conjunction of linear atoms over the rationals.
 
     Returns a satisfying assignment (var id -> Fraction; unmentioned
-    variables are free and get 0) or None when infeasible.  Interval
-    presolving first pins variables forced to a bound (rows whose extreme
-    value over the known variable intervals is exactly the allowed limit);
-    variables bound by an equality are then eliminated by substitution and
-    the rest by pairing lower against upper bounds, a strict bound making
-    the combined constraint strict.  Witness values are recovered in
-    reverse: the midpoint of the final interval, bound +/- 1 when
-    half-unbounded, 0 when free.
+    variables are free and get 0) or None when infeasible.  General simplex
+    with bounds (Dutertre & de Moura, CAV 2006): a one-variable row bounds
+    its variable, and each distinct multi-variable left-hand side becomes a
+    basic slack variable bounded by its rows.  Bland's rule repairs the
+    smallest out-of-bound basic variable by pivoting with the smallest
+    nonbasic variable that can move; a basic variable that no nonbasic one
+    can move proves infeasibility.  A concrete delta is then fixed small
+    enough to keep every bound, and the vertex reached is returned.  The
+    name is kept from the Fourier-Motzkin procedure the simplex replaced.
     """
-    work: dict = {}
+    atoms = list(atoms)
+    column: dict = {}  # var id, or a slack's coefficient tuple -> column
+    lower: list = []
+    upper: list = []
+    rows: dict = {}  # basic column -> {nonbasic column: coefficient}
+
+    def column_of(key) -> int:
+        if key not in column:
+            column[key] = len(lower)
+            lower.append(None)
+            upper.append(None)
+        return column[key]
+
     for a in atoms:
-        work[(a.coeffs, a.const, a.rel)] = a
-    rows = list(work.values())
-    trace = []
-    while True:
-        kept = []
-        for a in rows:
-            if a.coeffs:
-                kept.append(a)
-            elif not a.holds_on_constants():
+        if not a.coeffs:
+            if not a.holds_on_constants():
                 return None
-        rows = kept
-        presolved = _presolve(rows, trace)
-        if presolved is None:
-            return None
-        if presolved is not rows:
-            rows = presolved
             continue
-        var_ids = sorted({k for a in rows for k, _ in a.coeffs})
-        if not var_ids:
+        if len(a.coeffs) == 1:
+            (v, c), = a.coeffs
+            col = column_of(v)
+        else:  # a row and its negation share one slack
+            c = ONE_F if a.coeffs[0][1] > 0 else -ONE_F
+            lhs = tuple((k, c * v) for k, v in a.coeffs)
+            if lhs not in column:
+                rows[column_of(lhs)] = {column_of(k): v for k, v in lhs}
+            col = column[lhs]
+        # c*col + const REL 0
+        bound = -a.const / c
+        if a.rel == REL_EQ or c > 0:
+            new = (bound, -ONE_F if a.rel == REL_LT else ZERO_F)
+            if upper[col] is None or new < upper[col]:
+                upper[col] = new
+        if a.rel == REL_EQ or c < 0:
+            new = (bound, ONE_F if a.rel == REL_LT else ZERO_F)
+            if lower[col] is None or new > lower[col]:
+                lower[col] = new
+    if any(lo is not None and hi is not None and lo > hi for lo, hi in zip(lower, upper)):
+        return None
+
+    value = [lo or hi or (ZERO_F, ZERO_F) for lo, hi in zip(lower, upper)]
+    for i, row in rows.items():
+        value[i] = tuple(sum(c * value[j][t] for j, c in row.items()) for t in (0, 1))
+    while True:
+        for i in sorted(rows):
+            if lower[i] is not None and value[i] < lower[i]:
+                target, rising = lower[i], True
+                break
+            if upper[i] is not None and value[i] > upper[i]:
+                target, rising = upper[i], False
+                break
+        else:
             break
-        target = _pick_variable(rows, var_ids)
-        eq_candidates = [
-            a for a in rows if a.rel == REL_EQ and any(k == target for k, _ in a.coeffs)
-        ]
-        eq = min(eq_candidates, key=lambda a: len(a.coeffs)) if eq_candidates else None
-        if eq is not None:
-            rows = _substitute_equality(rows, eq, target, trace)
+        row = rows[i]
+        for j in sorted(row):
+            if (row[j] > 0) == rising:
+                if upper[j] is None or value[j] < upper[j]:
+                    break
+            elif lower[j] is None or value[j] > lower[j]:
+                break
         else:
-            rows = _eliminate_inequalities(rows, target, trace)
-        if len(rows) > _FM_ROW_CAP:
-            raise FmBlowupError(f"constraint count exceeded {_FM_ROW_CAP}")
-    values: dict = {}
-    for record in reversed(trace):
-        kind, var = record[0], record[1]
-        if kind == "eq":
-            coeffs, c = record[2]
-            values[var] = sum((v * values.get(k, ZERO_F) for k, v in coeffs), start=c)
-        else:
-            lowers, uppers = record[2], record[3]
-            lo = hi = None
-            lo_strict = hi_strict = False
-            for coeffs, c, strict in lowers:
-                b = sum((v * values.get(k, ZERO_F) for k, v in coeffs), start=c)
-                if lo is None or b > lo or (b == lo and strict):
-                    lo, lo_strict = b, strict
-            for coeffs, c, strict in uppers:
-                b = sum((v * values.get(k, ZERO_F) for k, v in coeffs), start=c)
-                if hi is None or b < hi or (b == hi and strict):
-                    hi, hi_strict = b, strict
-            if lo is None and hi is None:
-                values[var] = ZERO_F
-            elif lo is None:
-                values[var] = hi - 1
-            elif hi is None:
-                values[var] = lo + 1
-            else:
-                values[var] = (lo + hi) / 2
+            return None
+        _pivot_and_update(rows, value, i, j, target)
+
+    delta = ONE_F
+    for (x, dx), lo, hi in zip(value, lower, upper):
+        if lo is not None and lo[0] < x and lo[1] > dx:
+            delta = min(delta, (x - lo[0]) / (lo[1] - dx))
+        if hi is not None and x < hi[0] and dx > hi[1]:
+            delta = min(delta, (hi[0] - x) / (dx - hi[1]))
+    values = {
+        key: value[col][0] + value[col][1] * delta
+        for key, col in column.items()
+        if isinstance(key, int)
+    }
     for a in atoms:
         total = sum((v * values.get(k, ZERO_F) for k, v in a.coeffs), start=a.const)
         ok = total == 0 if a.rel == REL_EQ else total <= 0 if a.rel == REL_LE else total < 0
-        if not ok:  # pragma: no cover - guards the elimination logic
-            raise AssertionError("recovered point violates an input constraint")
+        if not ok:  # pragma: no cover - guards the simplex
+            raise AssertionError("simplex point violates an input constraint")
     return values
 
 
-def _interval_bounds(rows):
-    """Tightest per-variable bounds from single-variable rows.
-
-    Returns {var: (lo, lo_strict, hi, hi_strict)} with None for absent
-    bounds, or None when some interval is already empty.
-    """
-    bounds: dict = {}
-    for a in rows:
-        if len(a.coeffs) != 1 or a.rel == REL_EQ:
+def _pivot_and_update(rows: dict, value: list, i: int, j: int, target: tuple) -> None:
+    """Move basic column i to ``target`` through nonbasic column j, then swap
+    their roles: j becomes basic and i nonbasic."""
+    row = rows.pop(i)
+    a = row.pop(j)
+    step = ((target[0] - value[i][0]) / a, (target[1] - value[i][1]) / a)
+    value[i] = target
+    value[j] = (value[j][0] + step[0], value[j][1] + step[1])
+    solved = {k: -c / a for k, c in row.items()}  # j = (i - sum rest) / a
+    solved[i] = 1 / a
+    for k, other in rows.items():
+        c = other.pop(j, None)
+        if c is None:
             continue
-        (v, c), strict = a.coeffs[0], a.rel == REL_LT
-        value = -a.const / c
-        lo, lo_s, hi, hi_s = bounds.get(v, (None, False, None, False))
-        if c > 0:  # c*v + const <= 0  ->  v <= value
-            if hi is None or value < hi or (value == hi and strict):
-                hi, hi_s = value, strict
-        else:
-            if lo is None or value > lo or (value == lo and strict):
-                lo, lo_s = value, strict
-        bounds[v] = (lo, lo_s, hi, hi_s)
-    for lo, lo_s, hi, hi_s in bounds.values():
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (lo_s or hi_s)):
-                return None
-    return bounds
-
-
-def _row_extreme(a: LinearAtom, bounds, minimize: bool):
-    """Extreme value of the row expression over the bound box, as
-    (value, attained, fixing) where fixing pins each variable at the bound
-    achieving the extreme; None when unbounded in that direction."""
-    total = a.const
-    attained = True
-    fixing = []
-    for v, c in a.coeffs:
-        lo, lo_s, hi, hi_s = bounds.get(v, (None, False, None, False))
-        want_low = (c > 0) == minimize
-        bound, strict = (lo, lo_s) if want_low else (hi, hi_s)
-        if bound is None:
-            return None
-        total += c * bound
-        attained = attained and not strict
-        fixing.append((v, bound, strict))
-    return total, attained, fixing
-
-
-def _presolve(rows, trace):
-    """One pinning/infeasibility pass over the rows.
-
-    Pins variables forced to a bound (interval collapsed to a point, or a
-    row whose extreme over the box equals its limit), drops rows that hold
-    everywhere on the box, and reports infeasibility as None.  Returns the
-    input list unchanged (by identity) when nothing fires.
-    """
-    bounds = _interval_bounds(rows)
-    if bounds is None:
-        return None
-    fixes: dict = {}
-
-    def pin(v, value):
-        if v not in fixes:
-            fixes[v] = value
-
-    for v, (lo, lo_s, hi, hi_s) in bounds.items():
-        if lo is not None and hi is not None and lo == hi and not (lo_s or hi_s):
-            pin(v, lo)
-    dropped = set()
-    for idx, a in enumerate(rows):
-        if len(a.coeffs) <= 1:
-            continue
-        low = _row_extreme(a, bounds, minimize=True)
-        high = _row_extreme(a, bounds, minimize=False)
-        if a.rel == REL_EQ:
-            if low is not None:
-                value, attained, fixing = low
-                if value > 0 or (value == 0 and not attained):
-                    return None
-                if value == 0:
-                    for v, b, _ in fixing:
-                        pin(v, b)
-                    continue
-            if high is not None:
-                value, attained, fixing = high
-                if value < 0 or (value == 0 and not attained):
-                    return None
-                if value == 0:
-                    for v, b, _ in fixing:
-                        pin(v, b)
-        else:
-            strict = a.rel == REL_LT
-            if low is not None:
-                value, attained, fixing = low
-                if value > 0 or (value == 0 and (strict or not attained)):
-                    return None
-                if value == 0:  # only the extreme point satisfies the row
-                    for v, b, _ in fixing:
-                        pin(v, b)
-                    continue
-            if high is not None:
-                value, attained, _ = high
-                if value < 0 or (value == 0 and (not attained or not strict)):
-                    dropped.add(idx)
-    if not fixes and not dropped:
-        return rows
-    kept = [a for idx, a in enumerate(rows) if idx not in dropped]
-    for v, value in fixes.items():
-        trace.append(("eq", v, ((), value)))
-        out: dict = {}
-        for a in kept:
-            c = next((cv for k, cv in a.coeffs if k == v), None)
-            if c is None:
-                out.setdefault((a.coeffs, a.const, a.rel), a)
-                continue
-            coeffs = {k: cv for k, cv in a.coeffs if k != v}
-            na = LinearAtom.make(coeffs, a.const + c * value, a.rel)
-            out.setdefault((na.coeffs, na.const, na.rel), na)
-        kept = list(out.values())
-    return kept
-
-
-def _pick_variable(rows, var_ids) -> int:
-    # equalities eliminate by substitution: prefer the sparsest equality row
-    # (least fill-in), and within it the variable occurring in fewest other
-    # rows; otherwise minimize the lower*upper pairing product
-    occurrences: dict = {}
-    for a in rows:
-        for k, _ in a.coeffs:
-            occurrences[k] = occurrences.get(k, 0) + 1
-    eq_rows = [a for a in rows if a.rel == REL_EQ]
-    if eq_rows:
-        row = min(eq_rows, key=lambda a: (len(a.coeffs), a.coeffs[0][0]))
-        return min(row.coeffs, key=lambda kv: (occurrences[kv[0]], kv[0]))[0]
-    best, best_cost = None, None
-    for v in var_ids:
-        nl = nu = 0
-        for a in rows:
-            c = next((cv for k, cv in a.coeffs if k == v), None)
-            if c is None:
-                continue
-            if c > 0:
-                nu += 1
+        value[k] = (value[k][0] + c * step[0], value[k][1] + c * step[1])
+        for m, d in solved.items():
+            total = other.get(m, ZERO_F) + c * d
+            if total:
+                other[m] = total
             else:
-                nl += 1
-        cost = nl * nu
-        if best_cost is None or cost < best_cost:
-            best, best_cost = v, cost
-    return best
-
-
-def _solve_for(a: LinearAtom, target: int):
-    """Rewrite ``a`` (which mentions target) as  target = coeffs . vars + const."""
-    c = next(v for k, v in a.coeffs if k == target)
-    rest = tuple((k, -v / c) for k, v in a.coeffs if k != target)
-    return rest, -a.const / c, c
-
-
-def _substitute_equality(rows, eq: LinearAtom, target: int, trace) -> list:
-    expr_coeffs, expr_const, _ = _solve_for(eq, target)
-    trace.append(("eq", target, (expr_coeffs, expr_const)))
-    out: dict = {}
-    for a in rows:
-        if a is eq:
-            continue
-        c = next((v for k, v in a.coeffs if k == target), None)
-        if c is None:
-            out.setdefault((a.coeffs, a.const, a.rel), a)
-            continue
-        coeffs = {k: v for k, v in a.coeffs if k != target}
-        for k, v in expr_coeffs:
-            coeffs[k] = coeffs.get(k, ZERO_F) + c * v
-        na = LinearAtom.make(coeffs, a.const + c * expr_const, a.rel)
-        out.setdefault((na.coeffs, na.const, na.rel), na)
-    return list(out.values())
-
-
-def _eliminate_inequalities(rows, target: int, trace) -> list:
-    lowers, uppers, rest = [], [], []
-    for a in rows:
-        c = next((v for k, v in a.coeffs if k == target), None)
-        if c is None:
-            rest.append(a)
-            continue
-        # c*target + r REL 0  ->  target <= -r/c (c>0)  or  target >= -r/c (c<0)
-        expr_coeffs, expr_const, coef = _solve_for(a, target)
-        strict = a.rel == REL_LT
-        if coef > 0:
-            uppers.append((expr_coeffs, expr_const, strict))
-        else:
-            lowers.append((expr_coeffs, expr_const, strict))
-    trace.append(("ineq", target, lowers, uppers))
-    out: dict = {}
-    for a in rest:
-        out.setdefault((a.coeffs, a.const, a.rel), a)
-    for lc, lk, ls in lowers:
-        for uc, uk, us in uppers:
-            coeffs = dict(lc)
-            for k, v in uc:
-                coeffs[k] = coeffs.get(k, ZERO_F) - v
-            na = LinearAtom.make(coeffs, lk - uk, REL_LT if ls or us else REL_LE)
-            out.setdefault((na.coeffs, na.const, na.rel), na)
-    return list(out.values())
+                other.pop(m, None)
+    rows[j] = solved
 
 
 # -- negation and DNF --------------------------------------------------------------
@@ -745,10 +580,7 @@ def decide_universal_linear(
         return Decision(UNSUPPORTED, reason=str(e))
     rows = list(rows)
     for clause in clauses:
-        try:
-            values = fm_feasible(rows + clause)
-        except FmBlowupError as e:
-            return Decision(UNSUPPORTED, reason=str(e))
+        values = fm_feasible(rows + clause)
         if values is not None:
             witness = table.assignment_of(values)
             if eval_formula(matrix, witness):  # pragma: no cover - decider self-check

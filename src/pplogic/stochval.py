@@ -170,16 +170,19 @@ ProbAssignment = Callable[[prop.PropFormula], Fraction]
 
 
 class ValuationAssignment:
-    """The assignment alpha -> prob(V, alpha), with memoization."""
+    """The assignment alpha -> prob(V, alpha), memoized by (atoms, models),
+    so formulas with the same atoms and the same models share one entry."""
 
     def __init__(self, V: StochasticValuation):
         self.valuation = V
         self._memo: dict = {}
 
     def __call__(self, alpha: prop.PropFormula) -> Fraction:
-        got = self._memo.get(alpha)
+        B = prop.atoms_of(alpha)
+        key = (B, prop._models_mask(alpha, B))
+        got = self._memo.get(key)
         if got is None:
-            got = self._memo[alpha] = prob(self.valuation, alpha)
+            got = self._memo[key] = prob(self.valuation, alpha)
         return got
 
 

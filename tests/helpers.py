@@ -69,10 +69,12 @@ def semantic_class_pool(atom_indices, rounds: int = 3) -> list:
 def random_linear_sentence(rng: random.Random, n_vars: int) -> rcof.Formula:
     """A random boolean combination of depth <= 2 over linear atoms.
 
-    Unit coefficients and eighth constants keep every pinned refutation
-    region on the 1/8 grid, so ``grid_refuted`` is a complete refuter;
-    equality atoms (which can pin solutions at finer denominators) are
-    exercised against exact expectations in the decider's own tests.
+    Unit coefficients and eighth constants put every vertex of a refutation
+    region on the 1/8 grid, but ``grid_refuted`` is not a complete refuter:
+    a region may lie outside its [-3,3]^n box, or be an open sliver between
+    grid points.  A grid refutation is always genuine.  Equality atoms
+    (which can pin solutions at finer denominators) are exercised against
+    exact expectations in the decider's own tests.
     """
     def atom():
         coeffs = {
@@ -152,3 +154,42 @@ def grid_refuted(matrix: rcof.Formula) -> bool:
         if not np.all(eval_formula(matrix, arrays)):
             return True
     return False
+
+
+def pairing_feasible(atoms) -> bool:
+    """Verdict-only reference for ``rcof.fm_feasible``: Fourier-Motzkin by
+    pure pairing, with no presolve and no witness.
+
+    Each equality splits into two non-strict rows; each variable in turn is
+    eliminated by combining every row bounding it from below with every row
+    bounding it from above, the result strict when either row is.  The row
+    count can square per variable, so this suits small systems only.
+    """
+    rows = set()
+    for a in atoms:
+        if a.rel == rcof.REL_EQ:
+            flipped = {k: -v for k, v in a.coeffs}
+            rows.add(rcof.LinearAtom.make(dict(a.coeffs), a.const, rcof.REL_LE))
+            rows.add(rcof.LinearAtom.make(flipped, -a.const, rcof.REL_LE))
+        else:
+            rows.add(a)
+    while True:
+        if not all(a.holds_on_constants() for a in rows if not a.coeffs):
+            return False
+        rows = {a for a in rows if a.coeffs}
+        if not rows:
+            return True
+        target = min(k for a in rows for k, _ in a.coeffs)
+        lowers, uppers = [], []
+        for a in list(rows):
+            c = dict(a.coeffs).get(target)
+            if c is not None:
+                rows.discard(a)
+                (uppers if c > 0 else lowers).append((a, c))
+        for lo, cl in lowers:
+            for up, cu in uppers:
+                coeffs = {k: cu * v for k, v in lo.coeffs}
+                for k, v in up.coeffs:
+                    coeffs[k] = coeffs.get(k, 0) - cl * v
+                rel = rcof.REL_LT if rcof.REL_LT in (lo.rel, up.rel) else rcof.REL_LE
+                rows.add(rcof.LinearAtom.make(coeffs, cu * lo.const - cl * up.const, rel))

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -59,6 +60,11 @@ class TestProb:
         code, _, err = run(capsys, "prob", str(tmp_path / "nowhere.json"), "B1")
         assert code == 2 and "error" in err
 
+    def test_formula_beyond_scope_cap_exits_2(self, capsys):
+        disjunction = " | ".join(f"B{i}" for i in range(1, 23))
+        code, _, err = run(capsys, "prob", UNIFORM, disjunction)
+        assert code == 2 and "scope of size 22 exceeds enumeration cap 16" in err
+
     def test_atoms_outside_carrier_extend_fairly(self, capsys):
         code, out, _ = run(capsys, "prob", POINT, "B1 & B2")
         assert code == 0 and out.strip() == "1/2"
@@ -93,6 +99,13 @@ class TestValid:
         code, out, _ = run(capsys, "valid", f"P({conj_text(9)}) <= 1")
         assert code == 0 and out.strip() == "valid"
 
+    def test_refutation_witness_is_a_small_vertex(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "valid", f"P({conj_text(7)}) < 1/2")
+        assert code == 1
+        mass = json.loads(out)["witness"]["distribution"]["mass"]
+        assert 0 < len(mass) <= 2
+        assert all(Fraction(v).denominator <= 2 for v in mass.values())
+
 
 @pytest.mark.parametrize(
     "option, value", [("--scope-cap", "0"), ("--clause-cap", "0"), ("--timeout", "-1")]
@@ -103,6 +116,22 @@ def test_nonpositive_global_values_exit_2(capsys, option, value):
     err = capsys.readouterr().err
     assert exited.value.code == 2
     assert "error:" in err and option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prob", UNIFORM, "!" * 3000 + "B1"),
+        ("valid", "P(" + "(" * 600 + "B1" + ")" * 600 + ") <= 1"),
+        ("valid", "!" * 2000 + "P(B1) <= 1"),
+        ("valid", "P(" + " | ".join(["B1"] * 601) + ") <= 1"),
+    ],
+    ids=["prob-negations", "valid-parentheses", "valid-negations", "valid-disjuncts"],
+)
+def test_deeply_nested_formula_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "nested too deeply" in err and "Traceback" not in err
 
 
 class TestPqEntail:
@@ -228,6 +257,12 @@ class TestGaloisDemo:
     def test_round_trip_reported_equal(self, capsys):
         code, out, _ = run(capsys, "galois-demo", UNIFORM)
         assert code == 0 and "round trip equal: True" in out
+
+    def test_carrier_beyond_scope_cap_exits_2(self, capsys, tmp_path):
+        wide = tmp_path / "wide.dist.json"
+        wide.write_text(json.dumps({"carrier": list(range(1, 23)), "mass": {"0": "1"}}))
+        code, _, err = run(capsys, "galois-demo", str(wide))
+        assert code == 2 and "scope of size 22 exceeds enumeration cap 16" in err
 
     def test_json_format_validates(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "galois-demo", UNIFORM)

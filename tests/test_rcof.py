@@ -9,6 +9,8 @@ import pytest
 from pplogic import ppl, prop, rcof
 from pplogic.config import Config
 
+from .helpers import pairing_feasible
+
 B1 = prop.Atom(1)
 x0, x1, x2 = rcof.Var(0), rcof.Var(1), rcof.Var(2)
 
@@ -359,9 +361,25 @@ def test_constant_matrices_decided():
     assert d.status == rcof.INVALID and d.witness is not None
 
 
-def test_presolve_agrees_with_pure_pairing(monkeypatch):
-    # pairing-only elimination is the reference implementation on small
-    # systems; interval pinning must never change a feasibility verdict
+def _polytope_system(rng: random.Random) -> list:
+    """Point masses y_0..y_3 >= 0 summing to 1, rows bounding the mass of a
+    subset of them from either side, and one free numeric variable x_4 in
+    some of the rows."""
+    atoms = [rcof.LinearAtom.make({m: F(-1)}, F(0), rcof.REL_LE) for m in range(4)]
+    atoms.append(rcof.LinearAtom.make({m: F(1) for m in range(4)}, F(-1), rcof.REL_EQ))
+    for _ in range(rng.randint(1, 3)):
+        sign = F(rng.choice([-1, 1]))
+        coeffs = {m: sign for m in range(4) if rng.random() < 0.5}
+        if rng.random() < 0.5:
+            coeffs[4] = F(rng.choice([-1, 1]))
+        const = F(rng.randint(-4, 4), rng.choice([1, 2, 3, 4]))
+        rel = rng.choice([rcof.REL_EQ, rcof.REL_LE, rcof.REL_LT])
+        atoms.append(rcof.LinearAtom.make(coeffs, const, rel))
+    return atoms
+
+
+def test_fm_feasible_agrees_with_pure_pairing():
+    # pure-pairing Fourier-Motzkin is the verdict reference on small systems
     rng = random.Random(73)
     systems = []
     for _ in range(400):
@@ -377,7 +395,14 @@ def test_presolve_agrees_with_pure_pairing(monkeypatch):
             rel = rng.choice([rcof.REL_EQ, rcof.REL_LE, rcof.REL_LT])
             atoms.append(rcof.LinearAtom.make(coeffs, const, rel))
         systems.append(atoms)
-    with_presolve = [rcof.fm_feasible(atoms) is not None for atoms in systems]
-    monkeypatch.setattr(rcof, "_presolve", lambda rows, trace: rows)
-    without = [rcof.fm_feasible(atoms) is not None for atoms in systems]
-    assert with_presolve == without
+    systems += [_polytope_system(rng) for _ in range(400)]
+    feasible = 0
+    for atoms in systems:
+        point = rcof.fm_feasible(atoms)
+        assert (point is not None) == pairing_feasible(atoms)
+        if point is not None:
+            feasible += 1
+            for a in atoms:
+                total = sum((v * point.get(k, F(0)) for k, v in a.coeffs), start=a.const)
+                assert {rcof.REL_EQ: total == 0, rcof.REL_LE: total <= 0, rcof.REL_LT: total < 0}[a.rel]
+    assert 0 < feasible < len(systems)
