@@ -85,8 +85,7 @@ def _cmd_prob(args) -> int:
     try:
         V = _load_valuation(args.valuation)
         alpha = prop.parse(args.formula)
-        prop._check_enumerable(prop.atoms_of(alpha), args.scope_cap)
-        value = stochval.prob(V, alpha)
+        value = stochval.prob(V, alpha, cap=args.scope_cap)
     except (OSError, stochval.DistributionError, prop.ParseError, prop.ScopeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -197,15 +196,15 @@ def _cmd_galois_demo(args) -> int:
     try:
         V = _load_valuation(args.valuation)
         prop._check_enumerable(V.carrier, args.scope_cap)
+        P = stochval.psv(V)
+        rows = []
+        for U in prop.subsets_ascending(V.carrier):
+            point = prop.phi(V.carrier, U)
+            rows.append((prop.to_text(point), P(point)))
+        back = stochval.svp(P, V.carrier)
     except (OSError, stochval.DistributionError, prop.ScopeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    P = stochval.psv(V)
-    rows = []
-    for U in prop.subsets_ascending(V.carrier):
-        point = prop.phi(V.carrier, U)
-        rows.append((prop.to_text(point), P(point)))
-    back = stochval.svp(P, V.carrier)
     round_trip = back == V
     if args.fmt == "json":
         print(

@@ -5,6 +5,15 @@ The stored language has exactly three constructors: atoms, negation and
 implication.  Conjunction, disjunction, equivalence and the constants T/F
 are surface sugar that desugars on construction; the printer re-sugars the
 recognizable patterns, so `parse(to_text(f)) == f` for every stored tree.
+
+Semantics are bit-parallel truth tables.  Over a scope A with atoms
+a_0 < a_1 < ... < a_{n-1}, a formula's truth table is the 2^n-bit integer
+whose bit m is set iff the valuation making exactly the atoms a_k with bit
+k of m set true satisfies it.  Atom a_k's table (its column) has bit m
+equal to bit k of m; `!t` is `full ^ t` and `a -> b` is `(full ^ a) | b`,
+where `full` has all 2^n bits set.  One iterative post-order walk computes
+the table of every node once, so the depth of a formula is not limited by
+the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,6 +26,11 @@ from typing import Iterable, Iterator, Union
 Scope = frozenset  # frozenset[int]
 
 DEFAULT_SCOPE_CAP = 16
+
+# Entries kept by each module-level memo (atoms, truth tables, text, marginals).
+CACHE_SIZE = 65536
+# Scopes whose atom columns are kept; one entry holds |A| * 2^|A| bits.
+_COLUMN_SCOPES = 256
 
 
 class ScopeError(ValueError):
@@ -102,7 +116,7 @@ def conj_all(formulas: Iterable[PropFormula]) -> PropFormula:
     return TOP if out is None else out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def atoms_of(alpha: PropFormula) -> Scope:
     """Indices of the atoms occurring in ``alpha``."""
     acc: set = set()
@@ -136,15 +150,42 @@ def evaluate(v: Valuation, alpha: PropFormula) -> bool:
     missing = atoms_of(alpha) - v.scope
     if missing:
         raise ScopeError(f"atoms {sorted(missing)} outside valuation scope")
-    return _eval_set(v.true_atoms, alpha)
+    return _truth_table(alpha, dict.fromkeys(v.true_atoms, 1), 1) == 1
 
 
-def _eval_set(true_atoms: frozenset, alpha: PropFormula) -> bool:
-    if isinstance(alpha, Atom):
-        return alpha.index in true_atoms
-    if isinstance(alpha, Not):
-        return not _eval_set(true_atoms, alpha.operand)
-    return (not _eval_set(true_atoms, alpha.antecedent)) or _eval_set(true_atoms, alpha.consequent)
+def _truth_table(alpha: PropFormula, columns: dict, full: int) -> int:
+    """Truth table of ``alpha`` given each atom's column (atoms absent from
+    ``columns`` are false on every row) and the all-rows mask ``full``.
+
+    The stack is always a path down from ``alpha``, so it never holds a
+    node twice; a shared subformula is evaluated once.
+    """
+    table: dict = {}  # id(node) -> its table; alpha keeps every node alive
+    stack = [alpha]
+    while stack:
+        f = stack[-1]
+        kind = type(f)
+        if kind is Atom:
+            table[id(f)] = columns.get(f.index, 0)
+            stack.pop()
+        elif kind is Not:
+            t = table.get(id(f.operand))
+            if t is None:
+                stack.append(f.operand)
+            else:
+                table[id(f)] = full ^ t
+                stack.pop()
+        else:
+            a = table.get(id(f.antecedent))
+            b = table.get(id(f.consequent))
+            if a is None:
+                stack.append(f.antecedent)
+            elif b is None:
+                stack.append(f.consequent)
+            else:
+                table[id(f)] = (full ^ a) | b
+                stack.pop()
+    return table[id(alpha)]
 
 
 def _check_enumerable(A: Scope, cap: int) -> None:
@@ -169,16 +210,24 @@ def subset_of_mask(A: Scope, mask: int) -> frozenset:
     return frozenset(a for k, a in enumerate(atoms) if mask >> k & 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COLUMN_SCOPES)
+def _columns(A: Scope) -> tuple:
+    """``(columns, full)`` for the truth tables over A: atom a_k's column has
+    bit m equal to bit k of m, and ``full`` has all 2^|A| bits set."""
+    full = (1 << (1 << len(A))) - 1
+    columns = {}
+    for k, a in enumerate(sorted(A)):
+        # runs of 2^k zeros then 2^k ones: a block of 2^(k+1) bits, repeated
+        half = 1 << k
+        columns[a] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    return columns, full
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _models_mask(alpha: PropFormula, A: Scope) -> int:
     """Bitset over ascending-mask subsets of A: bit m set iff subset m satisfies alpha."""
-    atoms = sorted(A)
-    out = 0
-    for mask in range(1 << len(atoms)):
-        tr = frozenset(a for k, a in enumerate(atoms) if mask >> k & 1)
-        if _eval_set(tr, alpha):
-            out |= 1 << mask
-    return out
+    columns, full = _columns(A)
+    return _truth_table(alpha, columns, full)
 
 
 def models_over(alpha: PropFormula, A: Scope, cap: int = DEFAULT_SCOPE_CAP) -> frozenset:
@@ -197,10 +246,10 @@ def entails_c(deltas: Iterable[PropFormula], alpha: PropFormula, cap: int = DEFA
     for d in deltas:
         A = A | atoms_of(d)
     _check_enumerable(A, cap)
-    for U in subsets_ascending(A):
-        if all(_eval_set(U, d) for d in deltas) and not _eval_set(U, alpha):
-            return False
-    return True
+    models = (1 << (1 << len(A))) - 1
+    for d in deltas:
+        models &= _models_mask(d, A)
+    return models & ~_models_mask(alpha, A) == 0
 
 
 def phi(A: Scope, U: frozenset) -> PropFormula:
@@ -311,7 +360,7 @@ def _iff_parts(f: PropFormula):
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def to_text(f: PropFormula) -> str:
     """Canonical text form; re-sugars &, |, <->, T and F."""
     return _render(f, 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping
 
 from . import prop
@@ -90,11 +90,12 @@ class FinDist:
         scope = frozenset(scope)
         return FinDist.from_masks(scope, {prop.mask_of(scope, U): ONE})
 
+    @cached_property
+    def _by_mask(self) -> dict:
+        return dict(self.mass)
+
     def mass_of_mask(self, m: int) -> Fraction:
-        for mm, p in self.mass:
-            if mm == m:
-                return p
-        return ZERO
+        return self._by_mask.get(m, ZERO)
 
     def mass_of(self, U: frozenset) -> Fraction:
         return self.mass_of_mask(prop.mask_of(self.scope, U))
@@ -121,46 +122,80 @@ class StochasticValuation:
         return self._hash
 
 
-def marginal(V: StochasticValuation, A: Scope) -> FinDist:
+def marginal(V: StochasticValuation, A: Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> FinDist:
     """The distribution V induces on the subsets of A.
 
     Inside the carrier this is the plain marginal sum; each atom of A
-    outside the carrier contributes an independent factor 1/2.
+    outside the carrier contributes an independent factor 1/2.  Raises
+    ``prop.ScopeCapError`` when A has more than ``cap`` atoms.
     """
     A = frozenset(A)
     if not A:
         raise prop.ScopeError("marginal over the empty scope")
+    prop._check_enumerable(A, cap)
     return _marginal_cached(V, A)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=prop.CACHE_SIZE)
 def _marginal_cached(V: StochasticValuation, A: Scope) -> FinDist:
-    inner = A & V.carrier
-    spread = Fraction(1, 1 << len(A - V.carrier))
+    return FinDist.from_masks(A, _project(V.joint, A))
+
+
+def _project(d: FinDist, A: Scope) -> dict:
+    """The masses of ``d`` moved onto the subsets of A, keyed by A-bitmask.
+
+    Each atom of A in d's scope copies its bit from d's mask; each atom of
+    A outside it is a fair coin, so every mass is split evenly over both
+    of its values.  Atoms of d's scope outside A are summed out.
+    """
+    position = {a: j for j, a in enumerate(sorted(d.scope))}
+    copied = []  # (bit in d's mask, bit in the A-mask)
+    coins = [0]  # every A-mask over the atoms outside d's scope
+    for k, a in enumerate(sorted(A)):
+        j = position.get(a)
+        if j is None:
+            coins += [c | 1 << k for c in coins]
+        else:
+            copied.append((j, k))
     acc: dict = {}
-    carrier_atoms = sorted(V.carrier)
-    for m, p in V.joint.mass:
-        W = frozenset(a for k, a in enumerate(carrier_atoms) if m >> k & 1)
-        key = W & inner
+    for m, p in d.mass:
+        key = 0
+        for j, k in copied:
+            key |= (m >> j & 1) << k
         acc[key] = acc.get(key, ZERO) + p
-    masses = {}
-    for U in prop.subsets_ascending(A):
-        p = acc.get(U & inner, ZERO) * spread
-        if p != 0:
-            masses[prop.mask_of(A, U)] = p
-    return FinDist.from_masks(A, masses)
+    if len(coins) == 1:
+        return acc
+    share = Fraction(1, len(coins))
+    out = {}
+    for key, p in acc.items():
+        p *= share
+        for c in coins:
+            out[key | c] = p
+    return out
 
 
-def prob(V: StochasticValuation, alpha: prop.PropFormula) -> Fraction:
-    """Probability of ``alpha`` under V: the mass of its models over its own atoms."""
+def prob(V: StochasticValuation, alpha: prop.PropFormula, cap: int = prop.DEFAULT_SCOPE_CAP) -> Fraction:
+    """Probability of ``alpha`` under V: the mass of its models over its own atoms.
+
+    Raises ``prop.ScopeCapError`` when ``alpha`` has more than ``cap`` atoms.
+    """
     B = prop.atoms_of(alpha)
-    marg = marginal(V, B)
+    marg = marginal(V, B, cap)
     model_bits = prop._models_mask(alpha, B)
-    total = ZERO
-    for m, p in marg.mass:
-        if model_bits >> m & 1:
-            total += p
-    return total
+    if model_bits.bit_count() < len(marg.mass):
+        parts = (marg.mass_of_mask(m) for m in _set_bits(model_bits))
+    else:
+        parts = (p for m, p in marg.mass if model_bits >> m & 1)
+    return sum(parts, ZERO)
+
+
+def _set_bits(bits: int):
+    """The indices of the set bits of ``bits``, ascending."""
+    text = format(bits, "b")[::-1]
+    m = text.find("1")
+    while m >= 0:
+        yield m
+        m = text.find("1", m + 1)
 
 
 # A probability assignment is any callable PropFormula -> Fraction; the two
@@ -217,7 +252,7 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
         raise prop.ScopeError("carrier must be non-empty")
     masses = {}
     total = ZERO
-    for U in prop.subsets_ascending(carrier):
+    for m, U in enumerate(prop.subsets_ascending(carrier)):
         p = P(prop.phi(carrier, U))
         if not (ZERO <= p <= ONE):
             raise NotAProbabilityAssignment(
@@ -225,7 +260,7 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
             )
         total += p
         if p != 0:
-            masses[prop.mask_of(carrier, U)] = p
+            masses[m] = p
     if total != ONE:
         raise NotAProbabilityAssignment(f"point-formula probabilities sum to {total}, not 1")
     return StochasticValuation(carrier, FinDist.from_masks(carrier, masses))
@@ -325,14 +360,15 @@ def check_consistency(family: Iterable[FinDist]) -> ConsistencyReport:
         for small in dists:
             if small is big or not small.scope <= big.scope:
                 continue
-            for U1 in prop.subsets_ascending(small.scope):
-                total = ZERO
-                for U in prop.subsets_ascending(big.scope):
-                    if U & small.scope == U1:
-                        total += big.mass_of(U)
-                if total != small.mass_of(U1):
+            totals = _project(big, small.scope)
+            for m in range(1 << len(small.scope)):
+                total = totals.get(m, ZERO)
+                actual = small.mass_of_mask(m)
+                if total != actual:
                     violations.append(
-                        ConsistencyViolation(big.scope, small.scope, U1, total, small.mass_of(U1))
+                        ConsistencyViolation(
+                            big.scope, small.scope, prop.subset_of_mask(small.scope, m), total, actual
+                        )
                     )
     return ConsistencyReport(violations)
 

@@ -27,6 +27,47 @@ def random_formula(rng: random.Random, atom_indices, depth: int) -> prop.PropFor
     return prop.iff(a, b)
 
 
+def eval_row(true_atoms, alpha: prop.PropFormula) -> bool:
+    """Reference truth value of ``alpha`` when exactly ``true_atoms`` hold,
+    by structural recursion."""
+    if isinstance(alpha, prop.Atom):
+        return alpha.index in true_atoms
+    if isinstance(alpha, prop.Not):
+        return not eval_row(true_atoms, alpha.operand)
+    return (not eval_row(true_atoms, alpha.antecedent)) or eval_row(true_atoms, alpha.consequent)
+
+
+def models_mask_by_rows(alpha: prop.PropFormula, A) -> int:
+    """Reference for ``prop._models_mask``: evaluates ``alpha`` on each
+    subset of A in turn, bit m for the subset with ascending mask m."""
+    out = 0
+    for m, U in enumerate(prop.subsets_ascending(frozenset(A))):
+        if eval_row(U, alpha):
+            out |= 1 << m
+    return out
+
+
+def marginal_by_subsets(V: stochval.StochasticValuation, A) -> stochval.FinDist:
+    """Reference for ``stochval.marginal``: sums the carrier masses per
+    subset of the shared atoms, then enumerates every subset of A and
+    scales by 1/2 per atom of A outside the carrier."""
+    A = frozenset(A)
+    inner = A & V.carrier
+    spread = Fraction(1, 1 << len(A - V.carrier))
+    acc: dict = {}
+    carrier_atoms = sorted(V.carrier)
+    for m, p in V.joint.mass:
+        W = frozenset(a for k, a in enumerate(carrier_atoms) if m >> k & 1)
+        key = W & inner
+        acc[key] = acc.get(key, Fraction(0)) + p
+    masses = {}
+    for U in prop.subsets_ascending(A):
+        p = acc.get(U & inner, Fraction(0)) * spread
+        if p != 0:
+            masses[prop.mask_of(A, U)] = p
+    return stochval.FinDist.from_masks(A, masses)
+
+
 def random_valuation(rng: random.Random, carrier, max_numerator: int = 8) -> stochval.StochasticValuation:
     """A random exact joint over the carrier: integer weights, normalized."""
     carrier = frozenset(carrier)

@@ -99,6 +99,10 @@ class TestValid:
         code, out, _ = run(capsys, "valid", f"P({conj_text(9)}) <= 1")
         assert code == 0 and out.strip() == "valid"
 
+    def test_long_disjunction_decided(self, capsys):
+        code, out, _ = run(capsys, "valid", "P(" + " | ".join(["B1"] * 601) + ") <= 1")
+        assert code == 0 and out.strip() == "valid"
+
     def test_refutation_witness_is_a_small_vertex(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "valid", f"P({conj_text(7)}) < 1/2")
         assert code == 1
@@ -124,9 +128,9 @@ def test_nonpositive_global_values_exit_2(capsys, option, value):
         ("prob", UNIFORM, "!" * 3000 + "B1"),
         ("valid", "P(" + "(" * 600 + "B1" + ")" * 600 + ") <= 1"),
         ("valid", "!" * 2000 + "P(B1) <= 1"),
-        ("valid", "P(" + " | ".join(["B1"] * 601) + ") <= 1"),
+        ("valid", "P(" + "!" * 3000 + "B1) <= 1"),
     ],
-    ids=["prob-negations", "valid-parentheses", "valid-negations", "valid-disjuncts"],
+    ids=["prob-negations", "valid-parentheses", "valid-negations", "valid-inner-negations"],
 )
 def test_deeply_nested_formula_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -263,6 +267,15 @@ class TestGaloisDemo:
         wide.write_text(json.dumps({"carrier": list(range(1, 23)), "mass": {"0": "1"}}))
         code, _, err = run(capsys, "galois-demo", str(wide))
         assert code == 2 and "scope of size 22 exceeds enumeration cap 16" in err
+
+    def test_carrier_beyond_library_cap_exits_2(self, capsys, tmp_path):
+        # --scope-cap admits the carrier, but each point probability is
+        # still capped at the library default
+        wide = tmp_path / "wide.dist.json"
+        wide.write_text(json.dumps({"carrier": list(range(1, 18)), "mass": {"0": "1"}}))
+        code, _, err = run(capsys, "--scope-cap", "17", "galois-demo", str(wide))
+        assert code == 2 and "scope of size 17 exceeds enumeration cap 16" in err
+        assert "Traceback" not in err
 
     def test_json_format_validates(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "galois-demo", UNIFORM)

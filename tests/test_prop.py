@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pplogic import prop
 
+from .helpers import eval_row, models_mask_by_rows
 from .strategies import formulas, scopes
 
 B1, B2, B3, B7 = prop.Atom(1), prop.Atom(2), prop.Atom(3), prop.Atom(7)
@@ -226,3 +227,50 @@ def test_models_over_respects_scope_extension(f, extra):
     for U in prop.subsets_ascending(A):
         member = U in got
         assert member == prop.evaluate(prop.Valuation(U, A), f)
+
+
+class TestTruthTables:
+    def test_caches_are_bounded(self):
+        for cached in (prop.atoms_of, prop._models_mask, prop.to_text):
+            assert cached.cache_info().maxsize is not None
+
+    def test_deep_chain_needs_no_recursion(self):
+        # B1 -> (B1 -> ... (!!...!!B2)), 10,000 nodes deep, built without the
+        # parser; it is equivalent to B1 -> B2
+        f = B2
+        for _ in range(2500):
+            f = prop.Not(prop.Not(f))
+        for _ in range(5000):
+            f = prop.Implies(B1, f)
+        A = frozenset({1, 2, 3})
+        assert prop._models_mask(f, A) == prop._models_mask(prop.Implies(B1, B2), A)
+        for U in prop.subsets_ascending(A):
+            assert prop.evaluate(prop.Valuation(U, A), f) == (1 not in U or 2 in U)
+
+
+@given(formulas(), st.sets(st.integers(0, 6), max_size=4), st.booleans())
+@settings(max_examples=200)
+def test_models_mask_matches_row_by_row_reference(f, extra, cover):
+    # scopes that cover the formula's atoms, and scopes that miss some
+    A = frozenset(extra) | (prop.atoms_of(f) if cover else frozenset())
+    assert prop._models_mask(f, A) == models_mask_by_rows(f, A)
+
+
+@given(formulas(), scopes)
+@settings(max_examples=100)
+def test_evaluate_matches_row_by_row_reference(f, extra):
+    A = prop.atoms_of(f) | extra
+    for U in prop.subsets_ascending(A):
+        assert prop.evaluate(prop.Valuation(U, A), f) == eval_row(U, f)
+
+
+@given(st.lists(formulas(max_leaves=5), max_size=3), formulas(max_leaves=5))
+@settings(max_examples=150)
+def test_entails_c_matches_brute_force(deltas, alpha):
+    A = prop.atoms_of(alpha).union(*(prop.atoms_of(d) for d in deltas))
+    expected = all(
+        eval_row(U, alpha)
+        for U in prop.subsets_ascending(A)
+        if all(eval_row(U, d) for d in deltas)
+    )
+    assert prop.entails_c(deltas, alpha) == expected

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pplogic import prop, stochval
 
-from .helpers import random_formula, random_valuation, semantic_class_pool
+from .helpers import marginal_by_subsets, random_formula, random_valuation, semantic_class_pool
 from .strategies import formulas, valuations
 
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -58,6 +59,12 @@ class TestMarginal:
         with pytest.raises(prop.ScopeError):
             stochval.marginal(uniform({1}), frozenset())
 
+    def test_scope_beyond_cap_rejected(self):
+        with pytest.raises(prop.ScopeCapError):
+            stochval.marginal(uniform({1}), frozenset(range(1, 18)))
+        with pytest.raises(prop.ScopeCapError):
+            stochval.marginal(uniform({1}), frozenset({1, 2, 3}), cap=2)
+
 
 class TestProb:
     def test_uniform_disjunction(self):
@@ -66,6 +73,11 @@ class TestProb:
     def test_tautologies_get_one(self):
         V = random_valuation(random.Random(5), {1, 2, 3})
         assert stochval.prob(V, prop.parse("B2 | !B2")) == 1
+
+    def test_formula_beyond_cap_rejected(self):
+        wide = prop.parse(" | ".join(f"B{i}" for i in range(1, 18)))
+        with pytest.raises(prop.ScopeCapError):
+            stochval.prob(uniform({1}), wide)
 
     def test_contradiction_gets_zero(self):
         V = random_valuation(random.Random(6), {1, 2})
@@ -198,6 +210,38 @@ class TestCheckConsistency:
         assert stochval.check_consistency([d]).ok
 
 
+    def test_perturbed_families_match_subset_enumeration(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            V = random_valuation(rng, {1, 2, 3, 4})
+            family = [V.joint] + [
+                marginal_by_subsets(V, rng.sample(sorted(V.carrier), k)) for k in (1, 2, 3)
+            ]
+            i = rng.randrange(len(family))
+            d = family[i]
+            if rng.random() < 0.7:
+                # move half of one point's mass onto another point
+                m, p = rng.choice(d.mass)
+                target = rng.randrange(1 << len(d.scope))
+                masses = d.as_mask_dict()
+                masses[m] -= p / 2
+                masses[target] = masses.get(target, F(0)) + p / 2
+                family[i] = stochval.FinDist.from_masks(d.scope, masses)
+            expected = []
+            for big in family:
+                for small in family:
+                    if small is big or not small.scope <= big.scope:
+                        continue
+                    ref = marginal_by_subsets(stochval.StochasticValuation(big.scope, big), small.scope)
+                    for m in range(1 << len(small.scope)):
+                        if ref.mass_of_mask(m) != small.mass_of_mask(m):
+                            expected.append(stochval.ConsistencyViolation(
+                                big.scope, small.scope, prop.subset_of_mask(small.scope, m),
+                                ref.mass_of_mask(m), small.mass_of_mask(m),
+                            ))
+            assert stochval.check_consistency(family).violations == expected
+
+
 class TestJson:
     def test_documented_example(self):
         text = '{"carrier":[1,2],"mass":{"0":"1/4","1":"1/4","2":"1/4","3":"1/4"}}'
@@ -270,3 +314,10 @@ def test_family_of_marginals_is_consistent(V):
     scopes = [frozenset({1}), frozenset({1, 2}), frozenset({1, 2, 5})]
     family = [stochval.marginal(V, A) for A in scopes]
     assert stochval.check_consistency(family).ok
+
+
+@given(valuations(), st.sets(st.integers(1, 6), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_marginal_matches_subset_enumeration(V, A):
+    # atoms 1-4 may lie in the carrier, atoms 5 and 6 never do
+    assert stochval.marginal(V, frozenset(A)) == marginal_by_subsets(V, A)
