@@ -133,7 +133,7 @@ def _conjunct_atoms(phi: ppl.PplFormula) -> Optional[list]:
     atom = _as_threshold_atom(phi)
     if atom is not None:
         return [atom]
-    parts = ppl._pand_parts(phi)
+    parts = ppl.CONNECTIVES.and_parts(phi)
     if parts is None:
         return None
     left = _conjunct_atoms(parts[0])

@@ -51,16 +51,29 @@ def pnot(phi: PplFormula) -> PplFormula:
     return PplImplies(phi, FALSUM)
 
 
-def pand(a: PplFormula, b: PplFormula) -> PplFormula:
-    return pnot(PplImplies(a, pnot(b)))
+def _negated(phi: PplFormula):
+    if type(phi) is PplImplies and phi.consequent == FALSUM:
+        return phi.antecedent
+    return None
 
 
-def por(a: PplFormula, b: PplFormula) -> PplFormula:
-    return PplImplies(pnot(a), b)
+def _leaf_text(phi: PplFormula):
+    # probability atoms and the <= / >= sugar print as leaves
+    if type(phi) is PplAtom:
+        return f"P({prop.to_text(phi.alpha)}) {phi.relation} {term_to_text(phi.bound)}"
+    parts = _le_parts(phi)
+    if parts is not None:
+        return f"P({prop.to_text(parts[0])}) <= {term_to_text(parts[1])}"
+    parts = _ge_parts(phi)
+    if parts is not None:
+        return f"P({prop.to_text(parts[0])}) >= {term_to_text(parts[1])}"
+    return None
 
 
-def piff(a: PplFormula, b: PplFormula) -> PplFormula:
-    return pand(PplImplies(a, b), PplImplies(b, a))
+CONNECTIVES = prop.Connectives(PplImplies, pnot, _negated, _leaf_text)
+pand = CONNECTIVES.conj
+por = CONNECTIVES.disj
+piff = CONNECTIVES.iff
 
 
 def ple(alpha: prop.PropFormula, t: rcof.Term) -> PplFormula:
@@ -82,13 +95,22 @@ def pand_all(formulas: Iterable[PplFormula]) -> PplFormula:
 
 # -- semantics ------------------------------------------------------------------
 
-def ppl_sat(V: stochval.StochasticValuation, rho: rcof.Assignment, phi: PplFormula) -> bool:
-    """Satisfaction by a stochastic valuation and a variable assignment."""
+def ppl_sat(
+    V: stochval.StochasticValuation,
+    rho: rcof.Assignment,
+    phi: PplFormula,
+    cap: int = prop.DEFAULT_SCOPE_CAP,
+) -> bool:
+    """Satisfaction by a stochastic valuation and a variable assignment.
+
+    Raises ``prop.ScopeCapError`` when a formula under a probability atom
+    has more than ``cap`` atoms.
+    """
     if isinstance(phi, PplAtom):
-        p = stochval.prob(V, phi.alpha)
+        p = stochval.prob(V, phi.alpha, cap)
         bound = rcof.eval_term(phi.bound, rho)
         return p == bound if phi.relation == "=" else p < bound
-    return (not ppl_sat(V, rho, phi.antecedent)) or ppl_sat(V, rho, phi.consequent)
+    return (not ppl_sat(V, rho, phi.antecedent, cap)) or ppl_sat(V, rho, phi.consequent, cap)
 
 
 def ppl_entails_reduction(gammas: Iterable[PplFormula], phi: PplFormula) -> PplFormula:
@@ -165,10 +187,8 @@ def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rco
 
 # -- text form ----------------------------------------------------------------------
 # Atoms: P(<prop>) = <term>, P(<prop>) < <term>, and the sugar <=, >=.
-# Connectives and precedence mirror the propositional grammar.
+# Connectives and precedence are the propositional ones (``prop.Connectives``).
 # Terms: integers, n/m or q(n,m) rationals, x<k> variables, + - *, parens.
-
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5, 6
 
 
 def term_to_text(t: rcof.Term) -> str:
@@ -199,115 +219,49 @@ def _render_term(t: rcof.Term, ctx: int) -> str:
 
 
 def _le_parts(phi: PplFormula):
-    if (
-        isinstance(phi, PplImplies)
-        and isinstance(phi.antecedent, PplImplies)
-        and phi.antecedent.consequent == FALSUM
-        and isinstance(phi.antecedent.antecedent, PplAtom)
-        and isinstance(phi.consequent, PplAtom)
-        and phi.antecedent.antecedent.relation == "="
-        and phi.consequent.relation == "<"
-        and phi.antecedent.antecedent.alpha == phi.consequent.alpha
-        and phi.antecedent.antecedent.bound == phi.consequent.bound
-    ):
-        return phi.consequent.alpha, phi.consequent.bound
+    """``(alpha, t)`` if ``phi`` is stored ``P(alpha) <= t``, else None."""
+    if type(phi) is PplImplies:
+        lt = phi.consequent
+        if type(lt) is PplAtom and lt.relation == "<":
+            eq = _negated(phi.antecedent)
+            if (
+                type(eq) is PplAtom
+                and eq.relation == "="
+                and eq.alpha == lt.alpha
+                and eq.bound == lt.bound
+            ):
+                return lt.alpha, lt.bound
     return None
 
 
 def _ge_parts(phi: PplFormula):
-    if (
-        isinstance(phi, PplImplies)
-        and phi.consequent == FALSUM
-        and isinstance(phi.antecedent, PplAtom)
-        and phi.antecedent.relation == "<"
-    ):
-        return phi.antecedent.alpha, phi.antecedent.bound
-    return None
-
-
-def _pand_parts(phi: PplFormula):
-    if (
-        isinstance(phi, PplImplies)
-        and phi.consequent == FALSUM
-        and isinstance(phi.antecedent, PplImplies)
-        and isinstance(phi.antecedent.consequent, PplImplies)
-        and phi.antecedent.consequent.consequent == FALSUM
-    ):
-        return phi.antecedent.antecedent, phi.antecedent.consequent.antecedent
-    return None
-
-
-def _piff_parts(phi: PplFormula):
-    parts = _pand_parts(phi)
-    if parts is None:
-        return None
-    left, right = parts
-    if (
-        isinstance(left, PplImplies)
-        and isinstance(right, PplImplies)
-        and left.antecedent == right.consequent
-        and left.consequent == right.antecedent
-    ):
-        return left.antecedent, left.consequent
-    return None
-
-
-def _por_parts(phi: PplFormula):
-    # yields to the implication reading when the negated antecedent is a
-    # conjunction, so `a & b -> c` survives printing
-    if (
-        isinstance(phi, PplImplies)
-        and isinstance(phi.antecedent, PplImplies)
-        and phi.antecedent.consequent == FALSUM
-    ):
-        if _pand_parts(phi.antecedent) is not None:
-            return None
-        return phi.antecedent.antecedent, phi.consequent
-    return None
-
-
-def _pnot_part(phi: PplFormula):
-    if isinstance(phi, PplImplies) and phi.consequent == FALSUM:
-        return phi.antecedent
+    """``(alpha, t)`` if ``phi`` is stored ``P(alpha) >= t``, else None."""
+    lt = _negated(phi)
+    if type(lt) is PplAtom and lt.relation == "<":
+        return lt.alpha, lt.bound
     return None
 
 
 def to_text(phi: PplFormula) -> str:
     """Canonical text; re-sugars <=, >=, !, &, |, <->."""
-    return _render(phi, 0)
+    return CONNECTIVES.render(phi)
 
 
-def _render(phi: PplFormula, ctx: int) -> str:
-    if isinstance(phi, PplAtom):
-        return f"P({prop.to_text(phi.alpha)}) {phi.relation} {term_to_text(phi.bound)}"
-    parts = _piff_parts(phi)
-    if parts is not None:
-        s = f"{_render(parts[0], _PREC_IFF)} <-> {_render(parts[1], _PREC_IFF + 1)}"
-        return f"({s})" if _PREC_IFF < ctx else s
-    parts = _pand_parts(phi)
-    if parts is not None:
-        s = f"{_render(parts[0], _PREC_AND)} & {_render(parts[1], _PREC_AND + 1)}"
-        return f"({s})" if _PREC_AND < ctx else s
-    le = _le_parts(phi)
-    if le is not None:
-        return f"P({prop.to_text(le[0])}) <= {term_to_text(le[1])}"
-    parts = _por_parts(phi)
-    if parts is not None:
-        s = f"{_render(parts[0], _PREC_OR)} | {_render(parts[1], _PREC_OR + 1)}"
-        return f"({s})" if _PREC_OR < ctx else s
-    ge = _ge_parts(phi)
-    if ge is not None:
-        return f"P({prop.to_text(ge[0])}) >= {term_to_text(ge[1])}"
-    inner = _pnot_part(phi)
-    if inner is not None:
-        return f"!{_render(inner, _PREC_NOT)}"
-    s = f"{_render(phi.antecedent, _PREC_IMP + 1)} -> {_render(phi.consequent, _PREC_IMP)}"
-    return f"({s})" if _PREC_IMP < ctx else s
+_PPL_TOKEN_RE = re.compile(r"(x\d+|q\(|\d+|<->|->|<=|>=|[=<!&|()+\-*,])")
+_PAREN_RE = re.compile(r"[()]")
 
 
-_PPL_TOKEN_RE = re.compile(
-    r"\s*(P\(|x\d+|q\(|\d+|<->|->|<=|>=|[=<!&|()+\-*,])"
-)
+class _ProbText:
+    """The text inside ``P(...)``, kept as one token; it equals no other
+    token, and it shows as that text in error messages."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self):
+        return repr(self.text)
 
 
 def _tokenize(text: str) -> list:
@@ -319,157 +273,98 @@ def _tokenize(text: str) -> list:
             continue
         if text.startswith("P(", pos):
             # capture the balanced propositional argument as one token
-            depth, end = 1, pos + 2
-            while end < len(text) and depth:
-                depth += {"(": 1, ")": -1}.get(text[end], 0)
-                end += 1
+            depth = 1
+            for paren in _PAREN_RE.finditer(text, pos + 2):
+                depth += 1 if paren.group() == "(" else -1
+                if not depth:
+                    break
             if depth:
                 raise PplParseError("unbalanced parentheses after P(")
-            tokens.append(("prob", text[pos + 2 : end - 1]))
-            pos = end
+            tokens.append(_ProbText(text[pos + 2 : paren.start()]))
+            pos = paren.end()
             continue
         m = _PPL_TOKEN_RE.match(text, pos)
-        if m is None or m.group(1) == "P(":
+        if m is None:
             raise PplParseError(f"unexpected input at {text[pos:]!r}")
-        tokens.append(("tok", m.group(1)))
+        tokens.append(m.group(1))
         pos = m.end()
     return tokens
 
 
-class _PplParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+class _PplParser(prop.Parser):
+    """The connective parser with probability atoms as leaves."""
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None)
+    connectives = CONNECTIVES
+    error = PplParseError
 
-    def take(self, expected=None):
-        kind, val = self.peek()
-        if kind is None:
-            raise PplParseError("unexpected end of input")
-        if expected is not None and val != expected:
-            raise PplParseError(f"expected {expected!r}, found {val!r}")
-        self.pos += 1
-        return kind, val
-
-    def formula(self) -> PplFormula:
-        f = self.implication()
-        while self.peek()[1] == "<->":
-            self.take()
-            f = piff(f, self.implication())
-        return f
-
-    def implication(self) -> PplFormula:
-        f = self.disjunction()
-        if self.peek()[1] == "->":
-            self.take()
-            return PplImplies(f, self.implication())
-        return f
-
-    def disjunction(self) -> PplFormula:
-        f = self.conjunction()
-        while self.peek()[1] == "|":
-            self.take()
-            f = por(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> PplFormula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.take()
-            f = pand(f, self.unary())
-        return f
-
-    def unary(self) -> PplFormula:
-        kind, val = self.peek()
-        if val == "!":
-            self.take()
-            return pnot(self.unary())
-        if val == "(":
-            self.take()
-            f = self.formula()
-            self.take(")")
-            return f
-        if kind == "prob":
-            return self.atom()
-        raise PplParseError(f"unexpected token {val!r}")
-
-    def atom(self) -> PplFormula:
-        _, inner = self.take()
+    def leaf(self) -> PplFormula:
+        tok = self.peek()
+        if type(tok) is not _ProbText:
+            raise PplParseError(f"unexpected token {tok!r}")
+        self.take()
         try:
-            alpha = prop.parse(inner)
+            alpha = prop.parse(tok.text)
         except prop.ParseError as e:
             raise PplParseError(f"bad formula inside P(...): {e}") from None
-        _, op = self.take()
+        op = self.take()
         if op not in ("=", "<", "<=", ">="):
             raise PplParseError(f"expected a comparison after P(...), found {op!r}")
         bound = self.term()
-        if op == "=":
-            return PplAtom(alpha, "=", bound)
-        if op == "<":
-            return PplAtom(alpha, "<", bound)
-        if op == "<=":
-            return ple(alpha, bound)
-        return pge(alpha, bound)
+        if op in ("=", "<"):
+            return PplAtom(alpha, op, bound)
+        return ple(alpha, bound) if op == "<=" else pge(alpha, bound)
 
     def term(self) -> rcof.Term:
         t = self.term_product()
-        while self.peek()[1] in ("+", "-"):
-            _, op = self.take()
+        while self.peek() in ("+", "-"):
+            op = self.take()
             rhs = self.term_product()
             t = rcof.Add(t, rhs if op == "+" else rcof.Neg(rhs))
         return t
 
     def term_product(self) -> rcof.Term:
         t = self.term_unary()
-        while self.peek()[1] == "*":
+        while self.peek() == "*":
             self.take()
             t = rcof.Mul(t, self.term_unary())
         return t
 
     def term_unary(self) -> rcof.Term:
-        kind, val = self.peek()
-        if val == "-":
+        tok = self.peek()
+        if tok == "-":
             self.take()
             return rcof.Neg(self.term_unary())
-        if val == "(":
+        if tok == "(":
             self.take()
             t = self.term()
             self.take(")")
             return t
-        if val == "q(":
+        if tok == "q(":
             self.take()
-            _, n = self.take()
+            n = self.take()
             self.take(",")
-            _, m = self.take()
+            m = self.take()
             self.take(")")
-            if not (n.isdigit() and m.isdigit()):
+            if not (_is_numeral(n) and _is_numeral(m)):
                 raise PplParseError("q(n,m) takes integer literals")
-            return self._fraction(int(n), int(m))
-        if val is not None and val.startswith("x") and val[1:].isdigit():
+            if int(m) == 0:
+                raise PplParseError("zero denominator")
+            return rcof.Const(Fraction(int(n), int(m)))
+        if type(tok) is str and tok.startswith("x"):
             self.take()
-            return rcof.Var(int(val[1:]))
-        if val is not None and val.isdigit():
+            return rcof.Var(int(tok[1:]))
+        if _is_numeral(tok):
             self.take()
-            return rcof.Const(Fraction(int(val)))
-        raise PplParseError(f"unexpected token {val!r} in term")
+            return rcof.Const(Fraction(int(tok)))
+        raise PplParseError(f"unexpected token {tok!r} in term")
 
-    @staticmethod
-    def _fraction(n: int, m: int) -> rcof.Term:
-        if m == 0:
-            raise PplParseError("zero denominator")
-        return rcof.Const(Fraction(n, m))
+
+def _is_numeral(tok) -> bool:
+    return type(tok) is str and tok.isdigit()
 
 
 def parse(text: str) -> PplFormula:
     """Parse the surface grammar into a desugared tree."""
     # rewrite n/m fraction literals before tokenizing
     text = re.sub(r"(?<![\w)])(\d+)\s*/\s*(\d+)", r"q(\1,\2)", text)
-    parser = _PplParser(_tokenize(text))
-    f = parser.formula()
-    if parser.peek()[0] is not None:
-        raise PplParseError(f"trailing input from {parser.peek()[1]!r}")
-    return f
+    return _PplParser(_tokenize(text)).read()

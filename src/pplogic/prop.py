@@ -87,23 +87,118 @@ class Implies:
 PropFormula = Union[Atom, Not, Implies]
 
 
-# -- sugar ------------------------------------------------------------------
-# a & b  ==  !(a -> !b)        a | b  ==  !a -> b
-# a <-> b == (a -> b) & (b -> a)
+# -- connectives ---------------------------------------------------------------
+# A language built like this one has leaves, one implication class with the
+# fields ``antecedent`` and ``consequent``, and a stored negation; the other
+# connectives are sugar over those two:
+#   a & b  ==  !(a -> !b)        a | b  ==  !a -> b
+#   a <-> b == (a -> b) & (b -> a)
+# ``Connectives`` builds the sugar, reads it back and prints it, and
+# ``Parser`` reads it, for any such language; ``ppl`` uses both with its own
+# implication, negation and leaves.
+
+_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT = 1, 2, 3, 4, 5
+
+
+class Connectives:
+    """The connectives ! & | -> <-> of one language.
+
+    ``implies`` is the language's implication class, ``negate`` builds its
+    stored negation and ``negated`` reads one back: the operand of a stored
+    negation, None for any other formula.  ``leaf_text`` prints a leaf or a
+    sugar the language reads as a leaf and returns None for every other
+    formula; the printer tries it first.
+    """
+
+    def __init__(self, implies, negate, negated, leaf_text):
+        self.implies = implies
+        self.negate = negate
+        self.negated = negated
+        self.leaf_text = leaf_text
+
+    def conj(self, a, b):
+        return self.negate(self.implies(a, self.negate(b)))
+
+    def disj(self, a, b):
+        return self.implies(self.negate(a), b)
+
+    def iff(self, a, b):
+        return self.conj(self.implies(a, b), self.implies(b, a))
+
+    def and_parts(self, f):
+        """``(a, b)`` if ``f`` is stored ``a & b``, else None."""
+        inner = self.negated(f)
+        if type(inner) is self.implies:
+            b = self.negated(inner.consequent)
+            if b is not None:
+                return inner.antecedent, b
+        return None
+
+    def or_parts(self, f):
+        """``(a, b)`` if ``f`` is stored ``a | b``, else None.  Yields to the
+        implication reading when the negated antecedent is a conjunction,
+        so ``a & b -> c`` survives printing."""
+        if type(f) is self.implies:
+            a = self.negated(f.antecedent)
+            if a is not None and self.and_parts(f.antecedent) is None:
+                return a, f.consequent
+        return None
+
+    def render(self, f, ctx: int = 0) -> str:
+        """Text of ``f`` in a context of precedence ``ctx``; parentheses go
+        where the context binds tighter.  Precedence: ! > & > | > ->
+        (right-assoc) > <->."""
+        text = self.leaf_text(f)
+        if text is not None:
+            return text
+        parts = self.and_parts(f)
+        if parts is not None:
+            left, right = parts
+            implies = self.implies
+            if (
+                type(left) is implies
+                and type(right) is implies
+                and left.antecedent == right.consequent
+                and left.consequent == right.antecedent
+            ):
+                prec, op, parts = _PREC_IFF, " <-> ", (left.antecedent, left.consequent)
+            else:
+                prec, op = _PREC_AND, " & "
+        else:
+            parts = self.or_parts(f)
+            if parts is None:
+                inner = self.negated(f)
+                if inner is not None:
+                    return "!" + self.render(inner, _PREC_NOT)
+                # -> is the one right-associative connective
+                left = self.render(f.antecedent, _PREC_IMP + 1)
+                s = f"{left} -> {self.render(f.consequent, _PREC_IMP)}"
+                return f"({s})" if _PREC_IMP < ctx else s
+            prec, op = _PREC_OR, " | "
+        s = self.render(parts[0], prec) + op + self.render(parts[1], prec + 1)
+        return f"({s})" if prec < ctx else s
+
+
+def _negated(f: PropFormula):
+    return f.operand if type(f) is Not else None
+
+
+def _leaf_text(f: PropFormula):
+    if type(f) is Atom:
+        return f"B{f.index}"
+    if f == TOP:
+        return "T"
+    if f == BOTTOM:
+        return "F"
+    return None
+
+
+CONNECTIVES = Connectives(Implies, Not, _negated, _leaf_text)
+conj = CONNECTIVES.conj
+disj = CONNECTIVES.disj
+iff = CONNECTIVES.iff
+
 # T == B1 | !B1                F == B1 & !B1
-
-def conj(a: PropFormula, b: PropFormula) -> PropFormula:
-    return Not(Implies(a, Not(b)))
-
-
-def disj(a: PropFormula, b: PropFormula) -> PropFormula:
-    return Implies(Not(a), b)
-
-
-def iff(a: PropFormula, b: PropFormula) -> PropFormula:
-    return conj(Implies(a, b), Implies(b, a))
-
-
 TOP: PropFormula = disj(Atom(1), Not(Atom(1)))
 BOTTOM: PropFormula = conj(Atom(1), Not(Atom(1)))
 
@@ -214,13 +309,18 @@ def subset_of_mask(A: Scope, mask: int) -> frozenset:
 def _columns(A: Scope) -> tuple:
     """``(columns, full)`` for the truth tables over A: atom a_k's column has
     bit m equal to bit k of m, and ``full`` has all 2^|A| bits set."""
-    full = (1 << (1 << len(A))) - 1
+    rows = 1 << len(A)
     columns = {}
     for k, a in enumerate(sorted(A)):
-        # runs of 2^k zeros then 2^k ones: a block of 2^(k+1) bits, repeated
+        # runs of 2^k zeros then 2^k ones: a block of 2^(k+1) bits, doubled
+        # until it fills the table, in time linear in the table's size
         half = 1 << k
-        columns[a] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
-    return columns, full
+        column, width = ((1 << half) - 1) << half, 2 * half
+        while width < rows:
+            column |= column << width
+            width *= 2
+        columns[a] = column
+    return columns, (1 << rows) - 1
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -261,11 +361,7 @@ def phi(A: Scope, U: frozenset) -> PropFormula:
         raise ScopeError("empty scope has no point formulas")
     if not U <= A:
         raise ScopeError(f"{set(U)} is not a subset of {set(A)}")
-    out = None
-    for a in sorted(A):
-        lit: PropFormula = Atom(a) if a in U else Not(Atom(a))
-        out = lit if out is None else conj(out, lit)
-    return out
+    return conj_all(Atom(a) if a in U else Not(Atom(a)) for a in sorted(A))
 
 
 @dataclass(frozen=True)
@@ -319,76 +415,12 @@ def adequate_dnf_set(alphas, cap: int = DEFAULT_SCOPE_CAP):
 
 # -- text form ----------------------------------------------------------------
 # Grammar: atoms B<digits>; ! & | -> <->; constants T, F; parentheses.
-# Precedence ! > & > | > -> (right-assoc) > <->.
-
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 1, 2, 3, 4, 5, 6
-
-
-def _and_parts(f: PropFormula):
-    # stored shape of a & b
-    if (
-        isinstance(f, Not)
-        and isinstance(f.operand, Implies)
-        and isinstance(f.operand.consequent, Not)
-    ):
-        return f.operand.antecedent, f.operand.consequent.operand
-    return None
-
-
-def _or_parts(f: PropFormula):
-    # stored shape of a | b; yields to the implication reading when the
-    # negated antecedent is itself a conjunction, so `a & b -> c` survives
-    if isinstance(f, Implies) and isinstance(f.antecedent, Not):
-        if _and_parts(f.antecedent) is not None:
-            return None
-        return f.antecedent.operand, f.consequent
-    return None
-
-
-def _iff_parts(f: PropFormula):
-    parts = _and_parts(f)
-    if parts is None:
-        return None
-    left, right = parts
-    if (
-        isinstance(left, Implies)
-        and isinstance(right, Implies)
-        and left.antecedent == right.consequent
-        and left.consequent == right.antecedent
-    ):
-        return left.antecedent, left.consequent
-    return None
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def to_text(f: PropFormula) -> str:
     """Canonical text form; re-sugars &, |, <->, T and F."""
-    return _render(f, 0)
-
-
-def _render(f: PropFormula, ctx: int) -> str:
-    if f == TOP:
-        return "T"
-    if f == BOTTOM:
-        return "F"
-    parts = _iff_parts(f)
-    if parts is not None:
-        s = f"{_render(parts[0], _PREC_IFF)} <-> {_render(parts[1], _PREC_IFF + 1)}"
-        return f"({s})" if _PREC_IFF < ctx else s
-    parts = _and_parts(f)
-    if parts is not None:
-        s = f"{_render(parts[0], _PREC_AND)} & {_render(parts[1], _PREC_AND + 1)}"
-        return f"({s})" if _PREC_AND < ctx else s
-    parts = _or_parts(f)
-    if parts is not None:
-        s = f"{_render(parts[0], _PREC_OR)} | {_render(parts[1], _PREC_OR + 1)}"
-        return f"({s})" if _PREC_OR < ctx else s
-    if isinstance(f, Atom):
-        return f"B{f.index}"
-    if isinstance(f, Not):
-        return f"!{_render(f.operand, _PREC_NOT)}"
-    s = f"{_render(f.antecedent, _PREC_IMP + 1)} -> {_render(f.consequent, _PREC_IMP)}"
-    return f"({s})" if _PREC_IMP < ctx else s
+    return CONNECTIVES.render(f)
 
 
 _TOKEN_RE = re.compile(r"\s*(B\d+|<->|->|[TF!&|()])")
@@ -408,61 +440,87 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-class _Parser:
+class Parser:
+    """Recursive descent over a token list for the connectives, loosest
+    first: <-> (left-assoc), -> (right-assoc), |, &, then ! and
+    parentheses.  A language subclasses it with its ``connectives``, its
+    ``error`` class and a ``leaf`` method that reads every other token;
+    connective tokens are strings, and a leaf token must equal none of them.
+    """
+
+    connectives: Connectives
+    error: type
+
     def __init__(self, tokens):
-        self.tokens = tokens
+        self.tokens = [*tokens, None]  # None marks the end; take never passes it
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self, expected=None):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of input")
+            raise self.error("unexpected end of input")
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
+            raise self.error(f"expected {expected!r}, found {tok!r}")
         self.pos += 1
         return tok
 
-    def formula(self) -> PropFormula:
+    def read(self):
+        """The whole token list as one formula."""
+        f = self.formula()
+        if self.peek() is not None:
+            raise self.error(f"trailing input from {self.peek()!r}")
+        return f
+
+    def formula(self):
         f = self.implication()
         while self.peek() == "<->":
             self.take()
-            f = iff(f, self.implication())
+            f = self.connectives.iff(f, self.implication())
         return f
 
-    def implication(self) -> PropFormula:
+    def implication(self):
         f = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(f, self.implication())
+            return self.connectives.implies(f, self.implication())
         return f
 
-    def disjunction(self) -> PropFormula:
+    def disjunction(self):
         f = self.conjunction()
         while self.peek() == "|":
             self.take()
-            f = disj(f, self.conjunction())
+            f = self.connectives.disj(f, self.conjunction())
         return f
 
-    def conjunction(self) -> PropFormula:
+    def conjunction(self):
         f = self.unary()
         while self.peek() == "&":
             self.take()
-            f = conj(f, self.unary())
+            f = self.connectives.conj(f, self.unary())
         return f
 
-    def unary(self) -> PropFormula:
+    def unary(self):
         tok = self.peek()
         if tok == "!":
             self.take()
-            return Not(self.unary())
+            return self.connectives.negate(self.unary())
         if tok == "(":
             self.take()
             f = self.formula()
             self.take(")")
             return f
+        return self.leaf()
+
+
+class _PropParser(Parser):
+    connectives = CONNECTIVES
+    error = ParseError
+
+    def leaf(self) -> PropFormula:
+        tok = self.peek()
         if tok == "T":
             self.take()
             return TOP
@@ -477,8 +535,4 @@ class _Parser:
 
 def parse(text: str) -> PropFormula:
     """Parse the surface grammar into a desugared tree."""
-    p = _Parser(_tokenize(text))
-    f = p.formula()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input from {p.peek()!r}")
-    return f
+    return _PropParser(_tokenize(text)).read()

@@ -255,14 +255,16 @@ class VarTable:
         return {ids[name]: ONE_F}
 
     def assignment_of(self, values: Mapping[int, Fraction]) -> Assignment:
-        """The assignment of a solution: every variable met, every point
-        formula of the scope at its mass, every defined formula variable at
-        its sum (ids missing from ``values`` count as 0)."""
+        """The assignment of a solution: every variable met, the point
+        formula of each subset of the scope with nonzero mass at that mass
+        (a point formula left out has mass 0), every defined formula
+        variable at its sum (ids missing from ``values`` count as 0)."""
         numeric = {k: values.get(i, ZERO_F) for k, i in self.numeric.items()}
         probs = {key: values.get(i, ZERO_F) for key, i in self.formula_vars.items()}
-        if self.scope:
-            for m, U in enumerate(prop.subsets_ascending(self.scope)):
-                probs[prop.to_text(prop.phi(self.scope, U))] = values.get(m, ZERO_F)
+        points = 1 << len(self.scope) if self.scope else 0
+        for m in sorted(m for m, v in values.items() if m < points and v != 0):
+            point = prop.phi(self.scope, prop.subset_of_mask(self.scope, m))
+            probs[prop.to_text(point)] = values[m]
         for f, coeffs in self.sums.items():
             probs[prop.to_text(f)] = sum(
                 (c * values.get(m, ZERO_F) for m, c in coeffs.items()), start=ZERO_F

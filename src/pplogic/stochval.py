@@ -411,10 +411,6 @@ def dist_from_json(text: str) -> FinDist:
         raise
 
 
-def valuation_to_json(V: StochasticValuation) -> str:
-    return dist_to_json(V.joint)
-
-
 def valuation_from_json(text: str) -> StochasticValuation:
     d = dist_from_json(text)
     return StochasticValuation(d.scope, d)

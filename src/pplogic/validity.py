@@ -103,6 +103,6 @@ def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision
     decision = decide_over_scope(probability_formulas(phi), scope, ppl.translate(phi), config)
     if decision.status == rcof.INVALID and decision.witness is not None:
         V = valuation_from_assignment(decision.witness, scope)
-        if ppl.ppl_sat(V, decision.witness, phi):  # pragma: no cover - self-check
+        if ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):  # pragma: no cover - self-check
             raise AssertionError("recovered witness does not refute the formula")
     return decision

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pplogic import prop, rcof, stochval
+from pplogic import ppl, prop, rcof, stochval
 
 
 def random_formula(rng: random.Random, atom_indices, depth: int) -> prop.PropFormula:
@@ -27,6 +27,72 @@ def random_formula(rng: random.Random, atom_indices, depth: int) -> prop.PropFor
     return prop.iff(a, b)
 
 
+def corpus_prop_formula(rng: random.Random, depth: int) -> prop.PropFormula:
+    """A random formula for the printer corpus: atoms B0-B4 and the
+    constants T and F as leaves, raw ``Not``/``Implies`` mixed with the
+    sugar constructors, so nested sugar meets every stored shape."""
+    if depth == 0 or rng.random() < 0.2:
+        pick = rng.randrange(12)
+        if pick == 0:
+            return prop.TOP
+        if pick == 1:
+            return prop.BOTTOM
+        return prop.Atom(rng.randrange(5))
+    pick = rng.randrange(6)
+    if pick == 0:
+        return prop.Not(corpus_prop_formula(rng, depth - 1))
+    a = corpus_prop_formula(rng, depth - 1)
+    b = corpus_prop_formula(rng, depth - 1)
+    ctor = (prop.Implies, prop.conj, prop.disj, prop.iff, prop.Implies)[pick - 1]
+    return ctor(a, b)
+
+
+def corpus_term(rng: random.Random, depth: int) -> rcof.Term:
+    """A random bound term in the shape the parser reads back: constants
+    are nonnegative and negation is explicit."""
+    if depth == 0 or rng.random() < 0.5:
+        if rng.random() < 0.3:
+            return rcof.Var(rng.randrange(3))
+        return rcof.Const(Fraction(rng.randint(0, 6), rng.randint(1, 4)))
+    pick = rng.randrange(3)
+    if pick == 0:
+        return rcof.Neg(corpus_term(rng, depth - 1))
+    ctor = rcof.Add if pick == 1 else rcof.Mul
+    return ctor(corpus_term(rng, depth - 1), corpus_term(rng, depth - 1))
+
+
+def corpus_ppl_formula(rng: random.Random, depth: int) -> ppl.PplFormula:
+    """A random formula for the printer corpus: probability atoms, the
+    <= / >= sugar and FALSUM/TRUTH as leaves under every connective."""
+    if depth == 0 or rng.random() < 0.2:
+        pick = rng.randrange(8)
+        if pick == 0:
+            return rng.choice([ppl.FALSUM, ppl.TRUTH])
+        alpha = corpus_prop_formula(rng, 2)
+        bound = rcof.ONE if rng.random() < 0.2 else corpus_term(rng, 2)
+        if pick == 1:
+            return ppl.ple(alpha, bound)
+        if pick == 2:
+            return ppl.pge(alpha, bound)
+        return ppl.PplAtom(alpha, rng.choice(["=", "<"]), bound)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return ppl.pnot(corpus_ppl_formula(rng, depth - 1))
+    a = corpus_ppl_formula(rng, depth - 1)
+    b = corpus_ppl_formula(rng, depth - 1)
+    ctor = (ppl.PplImplies, ppl.pand, ppl.por, ppl.piff, ppl.PplImplies)[pick - 1]
+    return ctor(a, b)
+
+
+def golden_corpus(seed: int, count: int) -> tuple:
+    """``count`` seeded propositional and ``count`` probability-logic
+    formulas, the corpus whose canonical texts ``tests/data`` pins."""
+    rng = random.Random(seed)
+    props = [corpus_prop_formula(rng, rng.randint(1, 5)) for _ in range(count)]
+    ppls = [corpus_ppl_formula(rng, rng.randint(1, 4)) for _ in range(count)]
+    return props, ppls
+
+
 def eval_row(true_atoms, alpha: prop.PropFormula) -> bool:
     """Reference truth value of ``alpha`` when exactly ``true_atoms`` hold,
     by structural recursion."""
@@ -45,6 +111,17 @@ def models_mask_by_rows(alpha: prop.PropFormula, A) -> int:
         if eval_row(U, alpha):
             out |= 1 << m
     return out
+
+
+def columns_by_repunit(A) -> tuple:
+    """Reference for ``prop._columns``: each atom's column as the all-rows
+    mask divided by a repunit of 2^(k+1)-bit blocks, times one block."""
+    full = (1 << (1 << len(A))) - 1
+    columns = {}
+    for k, a in enumerate(sorted(A)):
+        half = 1 << k
+        columns[a] = full // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+    return columns, full
 
 
 def marginal_by_subsets(V: stochval.StochasticValuation, A) -> stochval.FinDist:

@@ -71,13 +71,22 @@ def ppl_atoms(draw):
 
 
 def ppl_formulas(max_leaves: int = 6):
-    return st.recursive(
+    # leaves include the <= / >= sugar and the constant atoms, whose stored
+    # shapes overlap those of !, | and &
+    leaves = st.one_of(
         ppl_atoms(),
+        st.sampled_from([ppl.FALSUM, ppl.TRUTH]),
+        st.builds(ppl.ple, formulas(max_leaves=4), terms(max_leaves=4)),
+        st.builds(ppl.pge, formulas(max_leaves=4), terms(max_leaves=4)),
+    )
+    return st.recursive(
+        leaves,
         lambda sub: st.one_of(
             st.tuples(sub, sub).map(lambda ab: ppl.PplImplies(*ab)),
             sub.map(ppl.pnot),
             st.tuples(sub, sub).map(lambda ab: ppl.pand(*ab)),
             st.tuples(sub, sub).map(lambda ab: ppl.por(*ab)),
+            st.tuples(sub, sub).map(lambda ab: ppl.piff(*ab)),
         ),
         max_leaves=max_leaves,
     )

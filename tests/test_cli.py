@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pplogic import cli
+from pplogic import cli, prop, stochval
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "pplogic" / "schemas"
@@ -102,6 +102,15 @@ class TestValid:
     def test_long_disjunction_decided(self, capsys):
         code, out, _ = run(capsys, "valid", "P(" + " | ".join(["B1"] * 601) + ") <= 1")
         assert code == 0 and out.strip() == "valid"
+
+    def test_twelve_atom_refutation_lists_only_the_support(self, capsys):
+        formula = f"P({conj_text(12)}) < 1/2"
+        code, out, _ = run(capsys, "--format", "json", "valid", formula)
+        assert code == 1
+        assert len(out) < 2048
+        distribution = json.loads(out)["witness"]["distribution"]
+        V = stochval.valuation_from_json(json.dumps(distribution))
+        assert stochval.prob(V, prop.parse(conj_text(12))) >= Fraction(1, 2)
 
     def test_refutation_witness_is_a_small_vertex(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "valid", f"P({conj_text(7)}) < 1/2")

@@ -68,6 +68,16 @@ class TestSatisfaction:
         f = ppl.parse("P(B1) = 1 -> P(B1) < 0")
         assert ppl.ppl_sat(V, rcof.Assignment(), f) is True
 
+    def test_scope_cap_is_honoured(self):
+        atoms = range(1, 18)
+        V = point_mass(atoms, atoms)
+        everything = prop.conj_all(prop.Atom(i) for i in atoms)
+        certain = ppl.PplAtom(everything, "=", rcof.ONE)
+        assert ppl.ppl_sat(V, rcof.Assignment(), certain, cap=17) is True
+        assert ppl.ppl_sat(V, rcof.Assignment(), ppl.pnot(certain), cap=17) is False
+        with pytest.raises(prop.ScopeCapError):
+            ppl.ppl_sat(V, rcof.Assignment(), certain)
+
 
 class TestEntailsReduction:
     def test_empty_premises_guarded_by_valid_antecedent(self):
@@ -185,26 +195,36 @@ class TestTransfer:
 
 
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "P(B1)",
-            "P(B1) = ",
-            "P(B1 = 1",
-            "P() = 1",
-            "P(B1) == 1",
-            "P(B1) = 1/0",
-            "P(B1) = q(1)",
-            "P(B1) > 1",
-            "B1 = 1",
-            "P(B1) = x",
-            "P(B1) = 1 extra",
-        ],
-    )
+    MESSAGES = {
+        "": "unexpected token None",
+        "P(B1)": "unexpected end of input",
+        "P(B1) = ": "unexpected token None in term",
+        "P(B1 = 1": "unbalanced parentheses after P(",
+        "P() = 1": "bad formula inside P(...): unexpected token None",
+        "P(B1) == 1": "unexpected token '=' in term",
+        "P(B1) = 1/0": "zero denominator",
+        "P(B1) = q(1)": "expected ',', found ')'",
+        "P(B1) > 1": "unexpected input at '> 1'",
+        "B1 = 1": "unexpected input at 'B1 = 1'",
+        "P(B1) = x": "unexpected input at 'x'",
+        "P(B1) = 1 extra": "unexpected input at 'extra'",
+        "(P(B1) = 1 P(B2) = 1": "expected ')', found 'B2'",
+        "P(B1) = 1 P(B2) = 1": "trailing input from 'B2'",
+        "P(B1) P(B2)": "expected a comparison after P(...), found 'B2'",
+        "P(B1) = P(B2)": "unexpected token 'B2' in term",
+        # the text inside P(...) is never read as a connective or a numeral
+        "P(!) = 1": "bad formula inside P(...): unexpected token None",
+        "P(B1) = P(3)": "unexpected token '3' in term",
+        "P(B1) = q(P(1),2)": "q(n,m) takes integer literals",
+        "P(B1) = q(1,00)": "zero denominator",
+    }
+
+    @pytest.mark.parametrize("text", list(MESSAGES))
     def test_malformed_input_rejected(self, text):
-        with pytest.raises(ppl.PplParseError):
+        with pytest.raises(ppl.PplParseError) as raised:
             ppl.parse(text)
+        assert type(raised.value) is ppl.PplParseError
+        assert str(raised.value) == self.MESSAGES[text]
 
 
 @given(ppl_formulas())

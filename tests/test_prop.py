@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pplogic import prop
 
-from .helpers import eval_row, models_mask_by_rows
+from .helpers import columns_by_repunit, eval_row, models_mask_by_rows
 from .strategies import formulas, scopes
 
 B1, B2, B3, B7 = prop.Atom(1), prop.Atom(2), prop.Atom(3), prop.Atom(7)
@@ -76,6 +76,15 @@ class TestEntailsC:
 
     def test_contradiction_entails_anything(self):
         assert prop.entails_c([prop.parse("B1 & !B1")], B7) is True
+
+    def test_twenty_atoms_under_raised_cap(self):
+        atoms = [prop.Atom(i) for i in range(1, 21)]
+        everything = prop.conj_all(atoms)
+        anything = atoms[0]
+        for a in atoms[1:]:
+            anything = prop.disj(anything, a)
+        assert prop.entails_c([everything], anything, cap=20) is True
+        assert prop.entails_c([anything], everything, cap=20) is False
 
 
 class TestPhi:
@@ -190,13 +199,25 @@ class TestGrammar:
 
 
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text",
-        ["", "B", "B1 &", "(B1 -> B2", "B1 B2", "->", "!!", "B1 | | B2", "b1", "B1 <- B2"],
-    )
+    MESSAGES = {
+        "": "unexpected token None",
+        "B": "unexpected input at 'B'",
+        "B1 &": "unexpected token None",
+        "(B1 -> B2": "unexpected end of input",
+        "B1 B2": "trailing input from 'B2'",
+        "->": "unexpected token '->'",
+        "!!": "unexpected token None",
+        "B1 | | B2": "unexpected token '|'",
+        "b1": "unexpected input at 'b1'",
+        "B1 <- B2": "unexpected input at ' <- B2'",
+    }
+
+    @pytest.mark.parametrize("text", list(MESSAGES))
     def test_malformed_input_rejected(self, text):
-        with pytest.raises(prop.ParseError):
+        with pytest.raises(prop.ParseError) as raised:
             prop.parse(text)
+        assert type(raised.value) is prop.ParseError
+        assert str(raised.value) == self.MESSAGES[text]
 
 
 @given(formulas())
@@ -230,6 +251,11 @@ def test_models_over_respects_scope_extension(f, extra):
 
 
 class TestTruthTables:
+    @pytest.mark.parametrize("size", range(13))
+    def test_columns_match_repunit_reference(self, size):
+        for A in (frozenset(range(1, size + 1)), frozenset(3 * i + 2 for i in range(size))):
+            assert prop._columns(A) == columns_by_repunit(A)
+
     def test_caches_are_bounded(self):
         for cached in (prop.atoms_of, prop._models_mask, prop.to_text):
             assert cached.cache_info().maxsize is not None

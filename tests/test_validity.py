@@ -181,8 +181,22 @@ def test_decide_validity_matches_field_formula_reference():
         assert decision.status == reference.status, ppl.to_text(phi)
         _assert_refutes(decision, phi, scope)
         _assert_refutes(reference, phi, scope)
+        if decision.status == rcof.INVALID:
+            _assert_lists_support_only(decision.witness, alphas, scope)
         statuses.add(decision.status)
     assert statuses == {rcof.VALID, rcof.INVALID}
+
+
+def _assert_lists_support_only(witness, alphas, scope):
+    # the witness lists a point formula iff its mass is nonzero, except that
+    # a probability formula whose text is a point formula's is always listed
+    V = validity.valuation_from_assignment(witness, scope)
+    support = {prop.to_text(prop.phi(scope, prop.subset_of_mask(scope, m))) for m, _ in V.joint.mass}
+    points = {prop.to_text(prop.phi(scope, U)) for U in prop.subsets_ascending(scope)}
+    named = {prop.to_text(a) for a in alphas}
+    listed = points & set(witness.probs)
+    assert support <= listed
+    assert listed - named == support - named
 
 
 def test_check_rr_matches_field_formula_reference():
