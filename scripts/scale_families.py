@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Time the fixed scaling families of the deciders, in-process.
+
+Families:
+
+* ``refutation``: ``pplogic --format json valid 'P(B1 & ... & Bn) < 1/2'``
+  at n = 8, 10, 12, 14 (invalid, exit 1);
+* ``disjunction``: ``pplogic valid 'P(B1) = x1 -> P(B1 | ... | Bn) >= x1'``
+  at n = 8, 12, 14 (valid, exit 0);
+* ``hailperin``: ``pqentail.hailperin_entails`` on the chain
+  ``B1, B1 -> B2, ..., B(n-1) -> Bn`` at p = 1 - 1/(n + 1), concluding
+  ``Bn`` at its tight bound 1 - n(1 - p) (entailed, exit 0) and 1/100 above
+  it (refuted, exit 1), at n = 9 and 12 links;
+* ``oblivious-transfer``: ``pplogic valid`` on the consistency query of
+  ``fixtures/oblivious_transfer.ppl`` (its axioms imply ``P(B1 & !B1) = 1``;
+  the theory is consistent, so exit 1 with a model).
+
+Each case runs three times with pplogic's memo tables emptied first, and
+reports the median wall-clock seconds, the exit code and the bytes
+printed.  The pplogic imported is the one under ``src/`` of the checkout
+holding this script.  Takes no options; prints one JSON object:
+
+    python3 scripts/scale_families.py > figures.json
+"""
+
+import contextlib
+import io
+import json
+import platform
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from pplogic import cli, ppl, pqentail, prop, rcof, stochval, validity  # noqa: E402
+
+REPEATS = 3
+
+
+def clear_caches() -> None:
+    for module in (cli, ppl, pqentail, prop, rcof, stochval, validity):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, len(out.getvalue().encode())
+
+
+def run_chain(n: int, above: bool):
+    atoms = [prop.Atom(k) for k in range(1, n + 1)]
+    hyps = [atoms[0]] + [prop.Implies(a, b) for a, b in zip(atoms, atoms[1:])]
+    p = 1 - Fraction(1, n + 1)
+    q = 1 - n * (1 - p) + (Fraction(1, 100) if above else 0)
+    return (0 if pqentail.hailperin_entails(hyps, atoms[-1], p, q) else 1), 0
+
+
+def cases():
+    for n in (8, 10, 12, 14):
+        conj = " & ".join(f"B{k}" for k in range(1, n + 1))
+        yield "refutation", n, lambda conj=conj: run_cli(
+            ["--format", "json", "valid", f"P({conj}) < 1/2"])
+    for n in (8, 12, 14):
+        disj = " | ".join(f"B{k}" for k in range(1, n + 1))
+        yield "disjunction", n, lambda disj=disj: run_cli(
+            ["valid", f"P(B1) = x1 -> P({disj}) >= x1"])
+    for n in (9, 12):
+        yield "hailperin-tight", n, lambda n=n: run_chain(n, above=False)
+        yield "hailperin-above", n, lambda n=n: run_chain(n, above=True)
+    theory = ROOT / "fixtures" / "oblivious_transfer.ppl"
+    axioms = [line.split("#", 1)[0].strip() for line in theory.read_text().splitlines()]
+    query = " & ".join(f"({a})" for a in axioms if a) + " -> P(B1 & !B1) = 1"
+    yield "oblivious-transfer", 6, lambda: run_cli(["valid", query])
+
+
+def main() -> int:
+    rows = []
+    for family, n, op in cases():
+        seconds = []
+        for _ in range(REPEATS):
+            clear_caches()
+            start = time.perf_counter()
+            code, size = op()
+            seconds.append(time.perf_counter() - start)
+        rows.append({
+            "family": family,
+            "n": n,
+            "exit": code,
+            "output_bytes": size,
+            "median_s": round(statistics.median(seconds), 4),
+            "runs_s": [round(s, 4) for s in seconds],
+        })
+        print(f"{family} n={n}: exit {code}, {rows[-1]['median_s']} s", file=sys.stderr)
+    json.dump({"python": platform.python_version(), "families": rows}, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

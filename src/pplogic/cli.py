@@ -196,7 +196,7 @@ def _cmd_galois_demo(args) -> int:
     try:
         V = _load_valuation(args.valuation)
         prop._check_enumerable(V.carrier, args.scope_cap)
-        P = stochval.psv(V)
+        P = stochval.psv(V, args.scope_cap)
         rows = []
         for U in prop.subsets_ascending(V.carrier):
             point = prop.phi(V.carrier, U)

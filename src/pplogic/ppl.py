@@ -133,33 +133,54 @@ def translate(phi: PplFormula) -> rcof.Formula:
     return rcof.Implies(translate(phi.antecedent), translate(phi.consequent))
 
 
-def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP):
-    """The distribution polytope over a scope, as linear rows, and each
-    formula's probability as a sum over it.
-
-    Variable m is the mass y_m of the m-th subset of the scope in ascending
-    bitmask order; the rows say y_m >= 0 and sum_m y_m = 1.  The second
-    result maps each formula to the coefficients {m: 1} of its models, whose
-    sum is its probability.
-    """
-    scope = frozenset(scope)
+def _check_scope(alphas, scope: prop.Scope, cap: int) -> None:
     for a in alphas:
         if not prop.atoms_of(a) <= scope:
             raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
     prop._check_enumerable(scope, cap)
-    n = 1 << len(scope)
-    rows = [rcof.LinearAtom.make({m: -rcof.ONE_F}, rcof.ZERO_F, rcof.REL_LE) for m in range(n)]
-    rows.append(rcof.LinearAtom.make(dict.fromkeys(range(n), rcof.ONE_F), -rcof.ONE_F, rcof.REL_EQ))
-    sums = {}
-    for a in alphas:
-        bits = prop._models_mask(a, scope)
-        sums[a] = {m: rcof.ONE_F for m in range(n) if bits >> m & 1}
-    return rows, sums
+
+
+def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP):
+    """The distribution polytope over a scope, as linear rows over the cells
+    of the formulas, and each formula's probability as a sum over them.
+
+    A cell is a nonempty class of subsets of the scope that every formula
+    treats alike: all its subsets are models of a formula or none is.  The
+    cells come from partition refinement of the formulas' truth tables
+    (start from all subsets, split every cell by each distinct table), so
+    there are at most min(2^k, 2^n) of them for k formulas over n atoms;
+    the refinement holds each cell as a 2^n-bit integer.  The probabilities
+    of the formulas depend only on the cells' masses, and any masses on the
+    cells come from a distribution on the scope, such as the one that puts
+    each cell's mass on its lowest subset.
+
+    Variable c is the mass y_c of the c-th cell in ascending order of its
+    lowest subset's bitmask; the rows say y_c >= 0 and sum_c y_c = 1.  The
+    second result maps each formula to the coefficients {c: 1} of the cells
+    inside its models, whose sum is its probability.  The third lists each
+    cell's representative, the bitmask of its lowest subset.
+    """
+    scope = frozenset(scope)
+    _check_scope(alphas, scope, cap)
+    masks = {a: prop._models_mask(a, scope) for a in alphas}
+    cells = [(1 << (1 << len(scope))) - 1]
+    for m in dict.fromkeys(masks.values()):
+        cells = [part for c in cells for part in (c & m, c & ~m) if part]
+    points = sorted((c & -c).bit_length() - 1 for c in cells)
+    k = len(points)
+    rows = [rcof.LinearAtom.make({c: -rcof.ONE_F}, rcof.ZERO_F, rcof.REL_LE) for c in range(k)]
+    rows.append(rcof.LinearAtom.make(dict.fromkeys(range(k), rcof.ONE_F), -rcof.ONE_F, rcof.REL_EQ))
+    sums = {
+        a: {c: rcof.ONE_F for c, point in enumerate(points) if m >> point & 1}
+        for a, m in masks.items()
+    }
+    return rows, sums, points
 
 
 def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rcof.Formula:
-    """The constraints of ``distribution_rows`` as one field conjunction,
-    the form rendered as SMT-LIB for external solvers.
+    """The distribution constraints over the point formulas of a scope as
+    one field conjunction, the form rendered as SMT-LIB for external
+    solvers.
 
     (i) each point-formula variable lies in [0,1]; (ii) the point
     variables sum to 1; (iii) each formula's variable equals the sum of
@@ -170,7 +191,7 @@ def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rco
     if not alphas:
         raise ValueError("need at least one formula")
     scope = frozenset(scope)
-    _, sums = distribution_rows(alphas, scope, cap)
+    _check_scope(alphas, scope, cap)
     point_vars = [
         rcof.FormulaVar(prop.phi(scope, U)) for U in prop.subsets_ascending(scope)
     ]
@@ -180,7 +201,8 @@ def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rco
         parts.append(rcof.Le(x, rcof.ONE))
     parts.append(rcof.Eq(rcof.add_all(point_vars), rcof.ONE))
     for a in alphas:
-        total = rcof.add_all(point_vars[m] for m in sums[a])
+        bits = prop._models_mask(a, scope)
+        total = rcof.add_all(x for m, x in enumerate(point_vars) if bits >> m & 1)
         parts.append(rcof.Eq(rcof.FormulaVar(a), total))
     return rcof.and_all(parts)
 

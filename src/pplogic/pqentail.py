@@ -66,7 +66,8 @@ def find_refuting_valuation(
 
     Feasibility of {simplex constraints, sum of hypothesis-model masses
     >= p per hypothesis, sum of conclusion-model masses < q} is decided
-    exactly; a feasible point is returned as a carrier-A valuation.
+    exactly over the cells of the formulas; a feasible point is returned as
+    a carrier-A valuation with each cell's mass on its lowest subset.
     """
     deltas = list(deltas)
     p, q = Fraction(p), Fraction(q)
@@ -76,7 +77,7 @@ def find_refuting_valuation(
     A = prop.atoms_of(alpha)
     for d in deltas:
         A = A | prop.atoms_of(d)
-    atoms, sums = ppl.distribution_rows([*deltas, alpha], A, cap)
+    atoms, sums, points = ppl.distribution_rows([*deltas, alpha], A, cap)
     for d in deltas:
         coeffs = {m: -c for m, c in sums[d].items()}
         atoms.append(rcof.LinearAtom.make(coeffs, p, rcof.REL_LE))  # p - sum <= 0
@@ -84,7 +85,7 @@ def find_refuting_valuation(
     values = rcof.fm_feasible(atoms)
     if values is None:
         return None
-    joint = stochval.FinDist.from_masks(A, {m: values.get(m, ZERO) for m in range(1 << len(A))})
+    joint = stochval.FinDist.from_masks(A, {m: values.get(c, ZERO) for c, m in enumerate(points)})
     return stochval.StochasticValuation(A, joint)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 Scope = frozenset  # frozenset[int]
 
@@ -362,6 +362,26 @@ def phi(A: Scope, U: frozenset) -> PropFormula:
     if not U <= A:
         raise ScopeError(f"{set(U)} is not a subset of {set(A)}")
     return conj_all(Atom(a) if a in U else Not(Atom(a)) for a in sorted(A))
+
+
+def point_mask(A: Scope, f: PropFormula) -> Optional[int]:
+    """The bitmask of U when ``f`` is ``phi(A, U)``, else None."""
+    atoms = sorted(A)
+    if not atoms:
+        return None
+    mask = 0
+    for k in range(len(atoms) - 1, -1, -1):
+        literal = f
+        if k:
+            parts = CONNECTIVES.and_parts(f)
+            if parts is None:
+                return None
+            f, literal = parts
+        if literal == Atom(atoms[k]):
+            mask |= 1 << k
+        elif literal != Not(Atom(atoms[k])):
+            return None
+    return mask
 
 
 @dataclass(frozen=True)

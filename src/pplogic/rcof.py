@@ -12,7 +12,7 @@ converts to disjunctive normal form over linear atoms, and refutes each
 disjunct, together with any shared constraint rows, by an exact general
 simplex with bounds over rationals; strict bounds are shifted by a symbolic
 infinitesimal that is fixed to a concrete rational at the end.  A formula
-variable may be defined as a sum of point masses rather than stand alone.
+variable may be defined as a sum of cell masses rather than stand alone.
 Infeasibility of every disjunct proves the sentence; a feasible disjunct
 yields the simplex vertex as a rational counter-assignment.  Sentences
 outside the linear fragment are shipped to an external SMT solver over the
@@ -230,19 +230,27 @@ class VarTable:
     """Integer ids for the variables of a linear system, handed out on first
     use while linearizing.
 
-    A table over a scope of n atoms reserves ids 0 .. 2^n - 1 for the point
-    masses of the scope's subsets, in ascending bitmask order.  A formula
+    A table over a scope reserves ids 0 .. k - 1 for the masses of the k
+    cells of ``ppl.distribution_rows``; ``points`` lists each cell's
+    representative, the bitmask of a subset of the scope.  A formula
     variable listed in ``sums`` is no variable of its own: it stands for the
-    given sum of point masses, the probability of a formula being the mass
-    of its models.  Every other variable gets the next free id.
+    given sum of cell masses, the probability of a formula being the mass
+    of the cells inside its models.  Every other variable gets the next
+    free id.
     """
 
-    def __init__(self, sums: Optional[Mapping] = None, scope: prop.Scope = frozenset()):
-        self.sums = sums or {}  # formula -> {point id: coefficient}
+    def __init__(
+        self,
+        sums: Optional[Mapping] = None,
+        scope: prop.Scope = frozenset(),
+        points: Iterable[int] = (),
+    ):
+        self.sums = sums or {}  # formula -> {cell id: coefficient}
         self.scope = frozenset(scope)
+        self.points = list(points)  # cell id -> representative bitmask
         self.numeric: dict = {}  # index -> id
         self.formula_vars: dict = {}  # key -> id
-        self._next = 1 << len(self.scope) if self.scope else 0
+        self._next = len(self.points)
 
     def coeffs_of(self, v: Union[Var, FormulaVar]) -> Mapping[int, Fraction]:
         """The variable as a linear form over ids; callers must not mutate it."""
@@ -255,19 +263,19 @@ class VarTable:
         return {ids[name]: ONE_F}
 
     def assignment_of(self, values: Mapping[int, Fraction]) -> Assignment:
-        """The assignment of a solution: every variable met, the point
-        formula of each subset of the scope with nonzero mass at that mass
-        (a point formula left out has mass 0), every defined formula
+        """The assignment of a solution: every variable met, each cell with
+        nonzero mass as the point formula of its representative at that
+        mass (a point formula left out has mass 0), every defined formula
         variable at its sum (ids missing from ``values`` count as 0)."""
         numeric = {k: values.get(i, ZERO_F) for k, i in self.numeric.items()}
         probs = {key: values.get(i, ZERO_F) for key, i in self.formula_vars.items()}
-        points = 1 << len(self.scope) if self.scope else 0
-        for m in sorted(m for m, v in values.items() if m < points and v != 0):
-            point = prop.phi(self.scope, prop.subset_of_mask(self.scope, m))
-            probs[prop.to_text(point)] = values[m]
+        for c, m in enumerate(self.points):
+            if values.get(c, ZERO_F) != 0:
+                point = prop.phi(self.scope, prop.subset_of_mask(self.scope, m))
+                probs[prop.to_text(point)] = values[c]
         for f, coeffs in self.sums.items():
             probs[prop.to_text(f)] = sum(
-                (c * values.get(m, ZERO_F) for m, c in coeffs.items()), start=ZERO_F
+                (c * values.get(i, ZERO_F) for i, c in coeffs.items()), start=ZERO_F
             )
         return Assignment(numeric, probs)
 

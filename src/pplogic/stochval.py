@@ -206,18 +206,23 @@ ProbAssignment = Callable[[prop.PropFormula], Fraction]
 
 class ValuationAssignment:
     """The assignment alpha -> prob(V, alpha), memoized by (atoms, models),
-    so formulas with the same atoms and the same models share one entry."""
+    so formulas with the same atoms and the same models share one entry.
 
-    def __init__(self, V: StochasticValuation):
+    Raises ``prop.ScopeCapError`` for a formula with more than ``cap`` atoms.
+    """
+
+    def __init__(self, V: StochasticValuation, cap: int = prop.DEFAULT_SCOPE_CAP):
         self.valuation = V
+        self.cap = cap
         self._memo: dict = {}
 
     def __call__(self, alpha: prop.PropFormula) -> Fraction:
         B = prop.atoms_of(alpha)
+        prop._check_enumerable(B, self.cap)
         key = (B, prop._models_mask(alpha, B))
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = prob(self.valuation, alpha)
+            got = self._memo[key] = prob(self.valuation, alpha, self.cap)
         return got
 
 
@@ -236,9 +241,10 @@ class TableAssignment:
             ) from None
 
 
-def psv(V: StochasticValuation) -> ValuationAssignment:
-    """The probability assignment induced by a stochastic valuation."""
-    return ValuationAssignment(V)
+def psv(V: StochasticValuation, cap: int = prop.DEFAULT_SCOPE_CAP) -> ValuationAssignment:
+    """The probability assignment induced by a stochastic valuation, for
+    formulas of at most ``cap`` atoms."""
+    return ValuationAssignment(V, cap)
 
 
 def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:

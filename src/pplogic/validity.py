@@ -46,25 +46,28 @@ def valuation_from_assignment(rho: rcof.Assignment, scope: prop.Scope) -> stochv
     """Read a joint distribution off the point-formula variables of ``rho``.
 
     The mass of each subset U of the scope is the value of the variable for
-    the conjunction of literals identifying U (missing variables count as
-    0).  The range and sum constraints are verified first; violations name
-    the offending constraint.
+    the conjunction of literals identifying U, ``prop.phi(scope, U)``
+    (missing variables count as 0).  Only the keys of ``rho`` are read, so
+    the work grows with the witness, not with the 2^n subsets.  The range
+    and sum constraints are verified first; violations name the offending
+    constraint.
     """
     scope = frozenset(scope)
     if not scope:
         raise prop.ScopeError("empty scope")
     masses = {}
     total = ZERO
-    for U in prop.subsets_ascending(scope):
-        key = prop.to_text(prop.phi(scope, U))
-        value = rho.probs.get(key, ZERO)
+    for key, value in rho.probs.items():
+        m = prop.point_mask(scope, prop.parse(key))
+        if m is None:
+            continue
         if not (ZERO <= value <= ONE):
             raise stochval.DistributionError(
                 f"range constraint violated: value {value} for `{key}`"
             )
         total += value
         if value != 0:
-            masses[prop.mask_of(scope, U)] = value
+            masses[m] = value
     if total != ONE:
         raise stochval.DistributionError(
             f"sum constraint violated: point values sum to {total}, not 1"
@@ -76,14 +79,15 @@ def decide_over_scope(alphas, scope: prop.Scope, psi: rcof.Formula, config: Conf
     """Decide the universal closure of ``Q -> psi``, Q the distribution
     constraints over ``scope`` on the probability variables of ``alphas``.
 
-    A linear psi is decided over the polytope rows, each formula variable
-    being the mass of its formula's models; a nonlinear one goes to the
-    external-solver route with Q rendered as a field formula.
+    A linear psi is decided over the polytope rows of the formulas' cells,
+    each formula variable being the mass of the cells inside its models; a
+    nonlinear one goes to the external-solver route with Q rendered as a
+    field formula over the point formulas.
     """
-    rows, sums = ppl.distribution_rows(alphas, scope, cap=config.scope_cap)
+    rows, sums, points = ppl.distribution_rows(alphas, scope, cap=config.scope_cap)
     try:
         return rcof.decide_universal_linear(
-            psi, config.clause_cap, rows, rcof.VarTable(sums, scope)
+            psi, config.clause_cap, rows, rcof.VarTable(sums, scope, points)
         )
     except rcof.NonlinearTermError:
         q = ppl.build_Q(alphas, scope, cap=config.scope_cap)

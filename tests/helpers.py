@@ -145,6 +145,53 @@ def marginal_by_subsets(V: stochval.StochasticValuation, A) -> stochval.FinDist:
     return stochval.FinDist.from_masks(A, masses)
 
 
+def distribution_rows_by_points(alphas, scope, cap: int = prop.DEFAULT_SCOPE_CAP):
+    """Reference for ``ppl.distribution_rows``: the point encoding the cells
+    replaced, one column per subset of the scope in ascending mask order,
+    each its own representative."""
+    scope = frozenset(scope)
+    prop._check_enumerable(scope, cap)
+    n = 1 << len(scope)
+    rows = [rcof.LinearAtom.make({m: -rcof.ONE_F}, rcof.ZERO_F, rcof.REL_LE) for m in range(n)]
+    rows.append(rcof.LinearAtom.make(dict.fromkeys(range(n), rcof.ONE_F), -rcof.ONE_F, rcof.REL_EQ))
+    sums = {}
+    for a in alphas:
+        bits = prop._models_mask(a, scope)
+        sums[a] = {m: rcof.ONE_F for m in range(n) if bits >> m & 1}
+    return rows, sums, list(range(n))
+
+
+def sign_classes(alphas, scope) -> list:
+    """Brute-force cells: the subsets of the scope grouped by which of the
+    formulas they satisfy, each class a sorted list of masks, the classes
+    in ascending order of their least mask."""
+    scope = frozenset(scope)
+    masks = [prop._models_mask(a, scope) for a in alphas]
+    classes: dict = {}
+    for m in range(1 << len(scope)):
+        classes.setdefault(tuple(bits >> m & 1 for bits in masks), []).append(m)
+    return sorted(classes.values())
+
+
+def valuation_from_assignment_dense(rho: rcof.Assignment, scope) -> stochval.StochasticValuation:
+    """Reference for ``validity.valuation_from_assignment``: looks up the
+    point formula of every subset of the scope in turn."""
+    scope = frozenset(scope)
+    masses = {}
+    total = Fraction(0)
+    for U in prop.subsets_ascending(scope):
+        key = prop.to_text(prop.phi(scope, U))
+        value = rho.probs.get(key, Fraction(0))
+        if not (0 <= value <= 1):
+            raise stochval.DistributionError(f"range constraint violated: value {value} for `{key}`")
+        total += value
+        if value != 0:
+            masses[prop.mask_of(scope, U)] = value
+    if total != 1:
+        raise stochval.DistributionError(f"sum constraint violated: point values sum to {total}, not 1")
+    return stochval.StochasticValuation(scope, stochval.FinDist.from_masks(scope, masses))
+
+
 def random_valuation(rng: random.Random, carrier, max_numerator: int = 8) -> stochval.StochasticValuation:
     """A random exact joint over the carrier: integer weights, normalized."""
     carrier = frozenset(carrier)

@@ -112,6 +112,32 @@ class TestValid:
         V = stochval.valuation_from_json(json.dumps(distribution))
         assert stochval.prob(V, prop.parse(conj_text(12))) >= Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--format", "json", "valid", f"P({conj_text(16)}) < 1/2"], 1),
+            (
+                ["--scope-cap", "20", "valid",
+                 "P(B1) = x1 -> P(" + " | ".join(f"B{i}" for i in range(1, 21)) + ") >= x1"],
+                0,
+            ),
+        ],
+        ids=["refutation-16", "disjunction-20"],
+    )
+    def test_wide_scopes_build_point_formulas_for_the_support_only(
+        self, capsys, monkeypatch, argv, expected
+    ):
+        # the work is counted, not timed: every point formula the command
+        # builds is a call of prop.phi
+        calls = []
+        phi = prop.phi
+        monkeypatch.setattr(prop, "phi", lambda A, U: calls.append(U) or phi(A, U))
+        code, out, _ = run(capsys, *argv)
+        assert code == expected
+        assert len(out) < 2048
+        support = json.loads(out)["witness"]["distribution"]["mass"] if code == 1 else {}
+        assert len(calls) <= 2 * len(support)
+
     def test_refutation_witness_is_a_small_vertex(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "valid", f"P({conj_text(7)}) < 1/2")
         assert code == 1
@@ -278,12 +304,11 @@ class TestGaloisDemo:
         assert code == 2 and "scope of size 22 exceeds enumeration cap 16" in err
 
     def test_carrier_beyond_library_cap_exits_2(self, capsys, tmp_path):
-        # --scope-cap admits the carrier, but each point probability is
-        # still capped at the library default
+        # a raised --scope-cap is the cap, not the library default of 16
         wide = tmp_path / "wide.dist.json"
-        wide.write_text(json.dumps({"carrier": list(range(1, 18)), "mass": {"0": "1"}}))
+        wide.write_text(json.dumps({"carrier": list(range(1, 19)), "mass": {"0": "1"}}))
         code, _, err = run(capsys, "--scope-cap", "17", "galois-demo", str(wide))
-        assert code == 2 and "scope of size 17 exceeds enumeration cap 16" in err
+        assert code == 2 and "scope of size 18 exceeds enumeration cap 17" in err
         assert "Traceback" not in err
 
     def test_json_format_validates(self, capsys):

@@ -125,6 +125,14 @@ class TestGaloisMaps:
             for U in prop.subsets_ascending(A):
                 assert stochval.psv(W)(prop.phi(A, U)) == table(prop.phi(A, U))
 
+    def test_psv_honours_its_cap(self):
+        carrier = frozenset(range(1, 18))
+        V = stochval.StochasticValuation(carrier, stochval.FinDist.point(carrier, frozenset()))
+        wide = prop.parse(" | ".join(f"!B{i}" for i in range(1, 18)))
+        assert stochval.psv(V, cap=17)(wide) == 1
+        with pytest.raises(prop.ScopeCapError):
+            stochval.psv(V)(wide)
+
 
 class TestInducedValuation:
     def test_point_mass_at_restriction(self):
