@@ -7,6 +7,8 @@ Families:
   at n = 8, 10, 12, 14 (invalid, exit 1);
 * ``disjunction``: ``pplogic valid 'P(B1) = x1 -> P(B1 | ... | Bn) >= x1'``
   at n = 8, 12, 14 (valid, exit 0);
+* ``conjunction``: ``pplogic valid 'P(B1) >= 1/2 & ... & P(Bk) >= 1/2 ->
+  P(B1) >= 1/2'`` at k = 4, 6, 8 (valid, exit 0);
 * ``hailperin``: ``pqentail.hailperin_entails`` on the chain
   ``B1, B1 -> B2, ..., B(n-1) -> Bn`` at p = 1 - 1/(n + 1), concluding
   ``Bn`` at its tight bound 1 - n(1 - p) (entailed, exit 0) and 1/100 above
@@ -72,6 +74,10 @@ def cases():
         disj = " | ".join(f"B{k}" for k in range(1, n + 1))
         yield "disjunction", n, lambda disj=disj: run_cli(
             ["valid", f"P(B1) = x1 -> P({disj}) >= x1"])
+    for k in (4, 6, 8):
+        hypotheses = " & ".join(f"P(B{i}) >= 1/2" for i in range(1, k + 1))
+        yield "conjunction", k, lambda hypotheses=hypotheses: run_cli(
+            ["valid", f"{hypotheses} -> P(B1) >= 1/2"])
     for n in (9, 12):
         yield "hailperin-tight", n, lambda n=n: run_chain(n, above=False)
         yield "hailperin-above", n, lambda n=n: run_chain(n, above=True)

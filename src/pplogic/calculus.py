@@ -1,10 +1,10 @@
 """Hilbert-style derivation checking for the probability logic.
 
 Rules: HYP (a listed hypothesis), TAUT (the formula abstracts to a
-propositional tautology over its probability atoms), RR (the formula is a
-threshold implication whose field translation, constrained by the shared
-distribution polytope, is a valid universal sentence) and MP i j (step j
-is the implication from step i to the current formula).
+propositional tautology over its probability atoms, ``P(T) < 1`` counting
+as false), RR (the formula is a threshold implication that
+``validity.decide_validity`` proves) and MP i j (step j is the implication
+from step i to the current formula).
 
 Proof-script text format::
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Union
 
 from . import ppl, prop, rcof, validity
 from .config import Config
@@ -83,12 +83,15 @@ class Derivation:
 # -- TAUT ------------------------------------------------------------------------
 
 def check_taut(phi: ppl.PplFormula, max_atoms: int = 16) -> bool:
-    """Truth-table the formula with each distinct probability atom as a letter."""
+    """Truth-table the formula with each distinct probability atom as a
+    letter, except ``P(T) < 1``, which is false on every row as under every
+    valuation."""
     letters: dict = {}
 
     def collect(f):
         if isinstance(f, ppl.PplAtom):
-            letters.setdefault(f, len(letters))
+            if f != ppl.FALSUM:
+                letters.setdefault(f, len(letters))
         else:
             collect(f.antecedent)
             collect(f.consequent)
@@ -99,7 +102,7 @@ def check_taut(phi: ppl.PplFormula, max_atoms: int = 16) -> bool:
 
     def eval_under(f, row: int) -> bool:
         if isinstance(f, ppl.PplAtom):
-            return bool(row >> letters[f] & 1)
+            return f != ppl.FALSUM and bool(row >> letters[f] & 1)
         return (not eval_under(f.antecedent, row)) or eval_under(f.consequent, row)
 
     return all(eval_under(phi, row) for row in range(1 << len(letters)))
@@ -107,79 +110,36 @@ def check_taut(phi: ppl.PplFormula, max_atoms: int = 16) -> bool:
 
 # -- RR --------------------------------------------------------------------------
 
-# extended relations: the comparison abbreviations stay atomic for RR purposes
-_REL_CTORS = {
-    "=": rcof.Eq,
-    "<": rcof.Lt,
-    "<=": rcof.Le,
-    ">=": lambda x, t: rcof.Le(t, x),
-}
+def _is_threshold_atom(phi: ppl.PplFormula) -> bool:
+    """P(alpha) REL t for REL in =, <, and the sugar <=, >=."""
+    return (
+        isinstance(phi, ppl.PplAtom)
+        or ppl._le_parts(phi) is not None
+        or ppl._ge_parts(phi) is not None
+    )
 
 
-def _as_threshold_atom(phi: ppl.PplFormula) -> Optional[Tuple[prop.PropFormula, str, rcof.Term]]:
-    """Match P(alpha) REL t for REL in =, <, and the sugar <=, >=."""
-    if isinstance(phi, ppl.PplAtom):
-        return phi.alpha, phi.relation, phi.bound
-    le = ppl._le_parts(phi)
-    if le is not None:
-        return le[0], "<=", le[1]
-    ge = ppl._ge_parts(phi)
-    if ge is not None:
-        return ge[0], ">=", ge[1]
-    return None
-
-
-def _conjunct_atoms(phi: ppl.PplFormula) -> Optional[list]:
-    atom = _as_threshold_atom(phi)
-    if atom is not None:
-        return [atom]
+def _is_threshold_conjunction(phi: ppl.PplFormula) -> bool:
+    if _is_threshold_atom(phi):
+        return True
     parts = ppl.CONNECTIVES.and_parts(phi)
-    if parts is None:
-        return None
-    left = _conjunct_atoms(parts[0])
-    right = _conjunct_atoms(parts[1])
-    if left is None or right is None:
-        return None
-    return left + right
-
-
-def rr_decompose(phi: ppl.PplFormula) -> Tuple[list, Tuple[prop.PropFormula, str, rcof.Term]]:
-    """Split an RR candidate into hypothesis atoms and a conclusion atom.
-
-    Accepts a bare threshold atom (no hypotheses) or an implication whose
-    antecedent is a conjunction of threshold atoms.
-    """
-    atom = _as_threshold_atom(phi)
-    if atom is not None:
-        return [], atom
-    if isinstance(phi, ppl.PplImplies):
-        conclusion = _as_threshold_atom(phi.consequent)
-        hypotheses = _conjunct_atoms(phi.antecedent)
-        if conclusion is not None and hypotheses is not None:
-            return hypotheses, conclusion
-    raise RrShapeError(f"not a threshold implication: {ppl.to_text(phi)}")
+    return parts is not None and all(map(_is_threshold_conjunction, parts))
 
 
 def check_rr(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
-    """Decide whether ``phi`` is an RR axiom instance.
+    """Decide whether ``phi`` is an RR axiom instance: a threshold
+    implication that ``validity.decide_validity`` proves.
 
-    The hypothesis and conclusion atoms are translated to constraints on
-    their formulas' probability variables, and the implication from the
-    shared distribution constraints plus the hypotheses to the conclusion
-    must be a valid universal sentence.
+    The shape is a bare threshold atom or an implication from a conjunction
+    of threshold atoms to one; any other raises ``RrShapeError``.
     """
-    config = config or Config()
-    hypotheses, conclusion = rr_decompose(phi)
-    everything = [a for a, _, _ in hypotheses] + [conclusion[0]]
-    scope: prop.Scope = frozenset()
-    for a in everything:
-        scope = scope | prop.atoms_of(a)
-    side = [_REL_CTORS[rel](rcof.FormulaVar(a), t) for a, rel, t in hypotheses]
-    a, rel, t = conclusion
-    psi = _REL_CTORS[rel](rcof.FormulaVar(a), t)
-    if side:
-        psi = rcof.Implies(rcof.and_all(side), psi)
-    return validity.decide_over_scope(everything, scope, psi, config)
+    if not _is_threshold_atom(phi) and not (
+        isinstance(phi, ppl.PplImplies)
+        and _is_threshold_atom(phi.consequent)
+        and _is_threshold_conjunction(phi.antecedent)
+    ):
+        raise RrShapeError(f"not a threshold implication: {ppl.to_text(phi)}")
+    return validity.decide_validity(phi, config)
 
 
 # -- derivation checking ------------------------------------------------------------

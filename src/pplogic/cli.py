@@ -20,11 +20,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pplogic",
         description="probabilistic propositional logic workbench",
     )
+    defaults = Config()
     parser.add_argument("--solver", help="external SMT command for nonlinear sentences")
-    parser.add_argument("--timeout", type=float, default=30.0, help="solver timeout in seconds")
+    parser.add_argument(
+        "--timeout", type=float, default=defaults.timeout, help="solver timeout in seconds"
+    )
     parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    parser.add_argument("--scope-cap", type=int, default=16)
-    parser.add_argument("--clause-cap", type=int, default=4096)
+    parser.add_argument("--scope-cap", type=int, default=defaults.scope_cap)
+    parser.add_argument("--clause-cap", type=int, default=defaults.clause_cap)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prob", help="exact probability of a formula under a stored valuation")

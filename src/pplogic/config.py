@@ -6,6 +6,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from .prop import DEFAULT_SCOPE_CAP
+
 SOLVER_ENV_VAR = "PPLOGIC_SOLVER"
 
 
@@ -13,7 +15,7 @@ SOLVER_ENV_VAR = "PPLOGIC_SOLVER"
 class Config:
     solver: Optional[str] = None  # external SMT command, e.g. "z3 -smt2"
     timeout: float = 30.0  # seconds per external solver call
-    scope_cap: int = 16  # atoms enumerable per scope
+    scope_cap: int = DEFAULT_SCOPE_CAP  # atoms enumerable per scope
     clause_cap: int = 4096  # clauses tolerated in a negated matrix
 
     def __post_init__(self):

@@ -5,7 +5,9 @@ close under implication.
 Atoms are ``P(alpha) = t`` and ``P(alpha) < t``.  Negation is the
 abbreviation ``phi -> (P(T) < 1)``; conjunction, disjunction, equivalence
 and the comparisons ``<=`` / ``>=`` desugar in the usual way before
-storage, and the printer re-sugars them.
+storage, and the printer re-sugars them.  ``translate`` is the one way a
+formula becomes a field sentence: it reads ``P(T)`` as the constant 1, so
+``P(T) < 1`` is false, and the stored ``<=`` / ``>=`` as single atoms.
 """
 
 from __future__ import annotations
@@ -125,11 +127,23 @@ def ppl_entails_reduction(gammas: Iterable[PplFormula], phi: PplFormula) -> PplF
 
 # -- translation into field formulas -----------------------------------------------
 
+def _probability_term(alpha: prop.PropFormula) -> rcof.Term:
+    return rcof.ONE if alpha == prop.TOP else rcof.FormulaVar(alpha)
+
+
 def translate(phi: PplFormula) -> rcof.Formula:
-    """Replace every atom P(alpha) REL t by the field atom x_alpha REL t."""
+    """Replace every atom P(alpha) REL t by the field atom x_alpha REL t,
+    the stored <= / >= sugar included; ``P(T)`` is the constant 1, as under
+    every valuation, so ``FALSUM`` becomes the false atom 1 < 1."""
     if isinstance(phi, PplAtom):
         ctor = rcof.Eq if phi.relation == "=" else rcof.Lt
-        return ctor(rcof.FormulaVar(phi.alpha), phi.bound)
+        return ctor(_probability_term(phi.alpha), phi.bound)
+    parts = _le_parts(phi)
+    if parts is not None:
+        return rcof.Le(_probability_term(parts[0]), parts[1])
+    parts = _ge_parts(phi)
+    if parts is not None:
+        return rcof.Le(parts[1], _probability_term(parts[0]))
     return rcof.Implies(translate(phi.antecedent), translate(phi.consequent))
 
 
@@ -188,8 +202,6 @@ def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rco
     term).
     """
     alphas = list(dict.fromkeys(alphas))
-    if not alphas:
-        raise ValueError("need at least one formula")
     scope = frozenset(scope)
     _check_scope(alphas, scope, cap)
     point_vars = [

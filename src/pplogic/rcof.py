@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from . import prop
+from .config import Config
 
 ZERO_F = Fraction(0)
 ONE_F = Fraction(1)
@@ -525,8 +526,11 @@ def _negate(f: Formula) -> Formula:
 
 def _dnf_clauses(f: Formula, cap: int) -> list:
     """Clauses (lists of LinearAtoms) of the disjunctive normal form of a
-    linearized matrix."""
+    linearized matrix.  An atom without variables is decided on the spot: a
+    false one has no clause and a true one the empty clause."""
     if isinstance(f, LinearAtom):
+        if not f.coeffs:
+            return [[]] if f.holds_on_constants() else []
         return [[f]]
     if isinstance(f, Not):
         return _dnf_clauses(_negate(f.operand), cap)
@@ -569,7 +573,7 @@ class Decision:
 
 def decide_universal_linear(
     matrix: Formula,
-    clause_cap: int = 4096,
+    clause_cap: int = Config.clause_cap,
     rows: Iterable[LinearAtom] = (),
     table: Optional[VarTable] = None,
 ) -> Decision:
@@ -701,8 +705,6 @@ def decide(matrix: Formula, config=None) -> Decision:
     Linear matrices go to the internal exact decider; nonlinear ones go to
     the configured external solver, or come back unsupported.
     """
-    from .config import Config
-
     config = config or Config()
     try:
         return decide_universal_linear(matrix, clause_cap=config.clause_cap)

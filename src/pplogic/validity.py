@@ -1,11 +1,13 @@
 """Validity decision for probability-logic formulas.
 
 A formula is valid iff the universal closure of ``Q -> psi`` holds over
-every real closed ordered field, where psi replaces each probability atom
-by its formula variable and Q constrains those variables to come from a
-common distribution over the formula's atoms.  An invalid formula comes
-back with a rational witness assignment; the induced stochastic valuation
-is checked to refute the input before the verdict is returned.
+every real closed ordered field, where psi is the formula's translation
+``ppl.translate`` (each probability atom over its formula variable,
+``P(T)`` the constant 1) and Q constrains those variables to come from a
+common distribution over the formula's atoms.  RR steps are decided the
+same way.  An invalid formula comes back with a rational witness
+assignment; the induced stochastic valuation is checked to refute the
+input before the verdict is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ ONE = Fraction(1)
 
 def probability_formulas(phi: ppl.PplFormula) -> list:
     """The distinct propositional formulas under probability atoms, in
-    first-occurrence order."""
+    first-occurrence order, except ``T``, whose probability ``translate``
+    reads as the constant 1."""
     seen: dict = {}
 
     def walk(f):
@@ -32,14 +35,15 @@ def probability_formulas(phi: ppl.PplFormula) -> list:
             walk(f.consequent)
 
     walk(phi)
+    seen.pop(prop.TOP, None)
     return list(seen)
 
 
 def ppl_scope(phi: ppl.PplFormula) -> prop.Scope:
-    scope: prop.Scope = frozenset()
-    for alpha in probability_formulas(phi):
-        scope = scope | prop.atoms_of(alpha)
-    return scope
+    """The atoms of the probability formulas; the atoms of ``T`` when ``T``
+    is the only one, so that a witness still has a carrier."""
+    alphas = probability_formulas(phi) or [prop.TOP]
+    return frozenset().union(*(prop.atoms_of(a) for a in alphas))
 
 
 def valuation_from_assignment(rho: rcof.Assignment, scope: prop.Scope) -> stochval.StochasticValuation:
@@ -75,36 +79,26 @@ def valuation_from_assignment(rho: rcof.Assignment, scope: prop.Scope) -> stochv
     return stochval.StochasticValuation(scope, stochval.FinDist.from_masks(scope, masses))
 
 
-def decide_over_scope(alphas, scope: prop.Scope, psi: rcof.Formula, config: Config) -> rcof.Decision:
-    """Decide the universal closure of ``Q -> psi``, Q the distribution
-    constraints over ``scope`` on the probability variables of ``alphas``.
+def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
+    """Decide whether ``phi`` holds under every valuation and assignment.
 
-    A linear psi is decided over the polytope rows of the formulas' cells,
-    each formula variable being the mass of the cells inside its models; a
-    nonlinear one goes to the external-solver route with Q rendered as a
-    field formula over the point formulas.
+    A linear translation is decided over the polytope rows of the
+    formulas' cells, each formula variable the mass of the cells inside its
+    models; a nonlinear one goes to the external-solver route with Q
+    rendered as a field formula over the point formulas.
     """
+    config = config or Config()
+    alphas = probability_formulas(phi)
+    scope = ppl_scope(phi)
+    psi = ppl.translate(phi)
     rows, sums, points = ppl.distribution_rows(alphas, scope, cap=config.scope_cap)
     try:
-        return rcof.decide_universal_linear(
+        decision = rcof.decide_universal_linear(
             psi, config.clause_cap, rows, rcof.VarTable(sums, scope, points)
         )
     except rcof.NonlinearTermError:
         q = ppl.build_Q(alphas, scope, cap=config.scope_cap)
-        return rcof.decide(rcof.Implies(q, psi), config)
-
-
-def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
-    """Decide whether ``phi`` holds under every valuation and assignment.
-
-    Pipeline: collect the atoms and the formulas under probability atoms,
-    translate the formula, and decide it under the distribution
-    constraints over the full atom set.
-    """
-    config = config or Config()
-    scope = ppl_scope(phi)
-    assert scope, "probability atoms always contribute at least one atom"
-    decision = decide_over_scope(probability_formulas(phi), scope, ppl.translate(phi), config)
+        decision = rcof.decide(rcof.Implies(q, psi), config)
     if decision.status == rcof.INVALID and decision.witness is not None:
         V = valuation_from_assignment(decision.witness, scope)
         if ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):  # pragma: no cover - self-check

@@ -358,3 +358,41 @@ def pairing_feasible(atoms) -> bool:
                     coeffs[k] = coeffs.get(k, 0) - cl * v
                 rel = rcof.REL_LT if rcof.REL_LT in (lo.rel, up.rel) else rcof.REL_LE
                 rows.add(rcof.LinearAtom.make(coeffs, cu * lo.const - cl * up.const, rel))
+
+
+def probability_formulas_with_truth(phi: ppl.PplFormula) -> list:
+    """Reference for ``validity.probability_formulas``: the encoding it
+    replaced, which also lists ``T``."""
+    seen: dict = {}
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, ppl.PplAtom):
+            seen.setdefault(f.alpha, None)
+        else:
+            stack += [f.consequent, f.antecedent]
+    return list(seen)
+
+
+def translate_truth_as_variable(phi: ppl.PplFormula) -> rcof.Formula:
+    """Reference for ``ppl.translate``: the encoding it replaced, every atom
+    P(alpha) REL t as x_alpha REL t with ``P(T)`` a variable like any other,
+    so ``FALSUM`` is x_T < 1 and the <= / >= sugar stays the disjunction and
+    negation it is stored as."""
+    if isinstance(phi, ppl.PplAtom):
+        ctor = rcof.Eq if phi.relation == "=" else rcof.Lt
+        return ctor(rcof.FormulaVar(phi.alpha), phi.bound)
+    return rcof.Implies(
+        translate_truth_as_variable(phi.antecedent), translate_truth_as_variable(phi.consequent)
+    )
+
+
+def decide_by_field_formula(phi: ppl.PplFormula):
+    """Reference for ``validity.decide_validity``: the field sentence
+    ``Q -> psi`` of the encoding above, Q the point-formula constraints over
+    the atoms of every probability formula, ``T`` included, decided by
+    ``rcof.decide``.  Returns the decision and the scope of Q."""
+    alphas = probability_formulas_with_truth(phi)
+    scope = frozenset().union(*(prop.atoms_of(a) for a in alphas))
+    matrix = rcof.Implies(ppl.build_Q(alphas, scope), translate_truth_as_variable(phi))
+    return rcof.decide(matrix), scope

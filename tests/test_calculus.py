@@ -6,7 +6,7 @@ import pytest
 
 from pplogic import calculus, ppl, prop, rcof, stochval, validity
 
-from .helpers import random_valuation, semantic_class_pool
+from .helpers import corpus_ppl_formula, random_valuation, semantic_class_pool
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -34,6 +34,33 @@ class TestCheckTaut:
         different = ppl.parse("P(B1) = 1 -> P(B1) = x1")
         assert calculus.check_taut(same) is True
         assert calculus.check_taut(different) is False
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "!!(P(B2) = 1) -> P(B2) = 1",
+            "(!(P(B2) = 1) -> P(B3) = 1) -> (!(P(B3) = 1) -> P(B2) = 1)",
+        ],
+    )
+    def test_negation_target_counts_as_false(self, text):
+        phi = ppl.parse(text)
+        assert calculus.check_taut(phi) is True
+        assert validity.decide_validity(phi).status == rcof.VALID
+
+    def test_accepted_formulas_are_never_refuted(self):
+        rng = random.Random(83)
+        accepted = 0
+        for _ in range(1500):
+            phi = corpus_ppl_formula(rng, rng.randint(1, 4))
+            try:
+                if not calculus.check_taut(phi):
+                    continue
+            except calculus.TautCapError:
+                continue
+            accepted += 1
+            # unsupported is allowed: nonlinear bounds need an external solver
+            assert validity.decide_validity(phi).status != rcof.INVALID, ppl.to_text(phi)
+        assert accepted >= 20
 
     def test_cap(self):
         parts = [ppl.PplAtom(B1, "<", rcof.Var(k)) for k in range(17)]

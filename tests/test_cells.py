@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from pplogic import ppl, pqentail, prop, rcof, stochval, validity
-from pplogic.config import Config
 
 from .helpers import (
     distribution_rows_by_points,
@@ -86,19 +85,18 @@ def _assert_refutes(decision, phi, scope):
     assert not ppl.ppl_sat(V, decision.witness, phi), ppl.to_text(phi)
 
 
-def test_decide_over_scope_matches_point_encoding(monkeypatch):
+def test_decide_validity_matches_point_encoding(monkeypatch):
     rng = random.Random(73)
     cases = []
     for _ in range(80):
         alphas = _random_alphas(rng, rng.randint(1, 4))
         phi = _random_ppl(rng, alphas, 2)
-        cases.append((phi, validity.probability_formulas(phi), validity.ppl_scope(phi)))
-    config = Config()
-    decisions = [validity.decide_over_scope(a, s, ppl.translate(phi), config) for phi, a, s in cases]
+        cases.append((phi, validity.ppl_scope(phi)))
+    decisions = [validity.decide_validity(phi) for phi, _ in cases]
     monkeypatch.setattr(ppl, "distribution_rows", distribution_rows_by_points)
     statuses = set()
-    for (phi, alphas, scope), decision in zip(cases, decisions):
-        reference = validity.decide_over_scope(alphas, scope, ppl.translate(phi), config)
+    for (phi, scope), decision in zip(cases, decisions):
+        reference = validity.decide_validity(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
         if decision.status == rcof.INVALID:
             _assert_refutes(decision, phi, scope)

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from pplogic import cli, prop, stochval
+from pplogic.config import Config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "pplogic" / "schemas"
@@ -138,12 +139,39 @@ class TestValid:
         support = json.loads(out)["witness"]["distribution"]["mass"] if code == 1 else {}
         assert len(calls) <= 2 * len(support)
 
+    def test_greater_equal_family_past_the_clause_cap_decided(self, capsys):
+        hypotheses = " & ".join(f"P(B{i}) >= 1/2" for i in range(1, 13))
+        code, out, _ = run(capsys, "valid", f"{hypotheses} -> P(B1) >= 1/2")
+        assert code == 0 and out.strip() == "valid"
+
+    def test_sixteen_atom_upper_bound_fits_the_scope_cap(self, capsys):
+        code, out, _ = run(capsys, "valid", f"P({' & '.join(f'B{i}' for i in range(2, 18))}) <= 1")
+        assert code == 0 and out.strip() == "valid"
+
+    def test_truth_below_one_refuted_over_its_own_atom(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "valid", "P(T) < 1")
+        assert code == 1
+        payload = json.loads(out)
+        validate(payload, "valid_result.schema.json")
+        assert payload["witness"]["distribution"]["carrier"] == [1]
+        assert "T" not in payload["witness"]["probability"]
+
+    def test_truth_against_nonlinear_bound_unsupported(self, capsys):
+        code, _, err = run(capsys, "valid", "P(T) < x1 * x1")
+        assert code == 3 and "unsupported" in err
+
     def test_refutation_witness_is_a_small_vertex(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "valid", f"P({conj_text(7)}) < 1/2")
         assert code == 1
         mass = json.loads(out)["witness"]["distribution"]["mass"]
         assert 0 < len(mass) <= 2
         assert all(Fraction(v).denominator <= 2 for v in mass.values())
+
+
+def test_option_defaults_are_the_library_defaults():
+    args = cli._build_parser().parse_args(["valid", "P(B1) = 1"])
+    assert cli._config(args) == Config()
+    assert Config().scope_cap == prop.DEFAULT_SCOPE_CAP
 
 
 @pytest.mark.parametrize(
@@ -280,6 +308,10 @@ class TestEmitSmt:
         _, first, _ = run(capsys, "emit-smt", "P(B1 & B2) < 1/3")
         _, second, _ = run(capsys, "emit-smt", "P(B1 & B2) < 1/3")
         assert first == second
+
+    def test_truth_alone_emits(self, capsys):
+        code, out, _ = run(capsys, "emit-smt", "P(T) = 1")
+        assert code == 0 and "(= 1 1)" in out
 
     def test_nine_atom_scope_emits(self, capsys):
         code, out, _ = run(capsys, "emit-smt", f"P({conj_text(9)}) <= 1")

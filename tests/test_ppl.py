@@ -104,11 +104,19 @@ class TestTranslate:
             rcof.Lt(rcof.FormulaVar(B2), rcof.ONE),
         )
 
-    def test_le_sugar_translates_to_disjunction(self):
+    def test_le_sugar_translates_to_one_atom(self):
         got = ppl.translate(ppl.parse("P(B1) <= x1"))
-        x, t = rcof.FormulaVar(B1), rcof.Var(1)
-        lhs = rcof.Implies(rcof.Eq(x, t), ppl.translate(ppl.FALSUM))
-        assert got == rcof.Implies(lhs, rcof.Lt(x, t))
+        assert got == rcof.Le(rcof.FormulaVar(B1), rcof.Var(1))
+
+    def test_ge_sugar_translates_to_one_atom(self):
+        got = ppl.translate(ppl.parse("P(B1) >= 1/2"))
+        assert got == rcof.Le(rcof.const(F(1, 2)), rcof.FormulaVar(B1))
+
+    def test_truth_probability_is_the_constant_one(self):
+        assert ppl.translate(ppl.FALSUM) == rcof.Lt(rcof.ONE, rcof.ONE)
+        assert ppl.translate(ppl.TRUTH) == rcof.Eq(rcof.ONE, rcof.ONE)
+        got = ppl.translate(ppl.parse("!P(B1) = 1"))
+        assert got == rcof.Implies(rcof.Eq(rcof.FormulaVar(B1), rcof.ONE), rcof.Lt(rcof.ONE, rcof.ONE))
 
 
 class TestBuildQ:
@@ -143,6 +151,13 @@ class TestBuildQ:
         q = ppl.build_Q([B1], frozenset({1}))
         parts = list(_conjuncts(q))
         assert rcof.Eq(rcof.FormulaVar(B1), rcof.FormulaVar(B1)) in parts
+
+    def test_no_formulas_gives_the_bare_polytope(self):
+        # emit-smt 'P(T) = 1' has no probability formula besides T
+        parts = list(_conjuncts(ppl.build_Q([], frozenset({1}))))
+        x_neg, x_pos = rcof.FormulaVar(prop.parse("!B1")), rcof.FormulaVar(B1)
+        assert len(parts) == 5
+        assert rcof.Eq(rcof.Add(x_neg, x_pos), rcof.ONE) in parts
 
 
 def _conjuncts(f):

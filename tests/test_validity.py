@@ -6,7 +6,12 @@ import pytest
 from pplogic import calculus, ppl, prop, rcof, stochval, validity
 from pplogic.config import Config
 
-from .helpers import random_formula, random_valuation
+from .helpers import (
+    corpus_ppl_formula,
+    decide_by_field_formula,
+    random_formula,
+    random_valuation,
+)
 
 B1, B2 = prop.Atom(1), prop.Atom(2)
 
@@ -17,8 +22,15 @@ class TestProbabilityFormulas:
         assert validity.probability_formulas(phi) == [B2, B1]
 
     def test_desugaring_contributions_included(self):
+        # the negation target P(T) < 1 reads T as the constant 1
         phi = ppl.parse("!P(B1) = 1")
-        assert validity.probability_formulas(phi) == [B1, prop.TOP]
+        assert validity.probability_formulas(phi) == [B1]
+        assert validity.ppl_scope(ppl.parse("P(B5) >= 1/2")) == {5}
+
+    def test_truth_alone_keeps_its_atoms_as_scope(self):
+        phi = ppl.parse("P(T) < 1")
+        assert validity.probability_formulas(phi) == []
+        assert validity.ppl_scope(phi) == {1}
 
     def test_scope_union(self):
         phi = ppl.parse("P(B2) = 1 -> P(B7) < 1")
@@ -141,8 +153,11 @@ def _random_bound(rng):
 
 
 def _random_threshold(rng):
-    """(alpha, relation, bound) over at most three atoms."""
-    alpha = random_formula(rng, rng.sample([1, 2, 3], rng.randint(1, 3)), 2)
+    """(alpha, relation, bound) over at most three atoms, alpha sometimes T."""
+    if rng.random() < 0.1:
+        alpha = prop.TOP
+    else:
+        alpha = random_formula(rng, rng.sample([1, 2, 3], rng.randint(1, 3)), 2)
     return alpha, rng.choice(["=", "<", "<=", ">="]), _random_bound(rng)
 
 
@@ -170,21 +185,26 @@ def _assert_refutes(decision, phi, scope):
 
 
 def test_decide_validity_matches_field_formula_reference():
+    # the reference is the encoding translate replaced: P(T) a variable, the
+    # <= / >= sugar as stored, T among the formulas of the point-form Q
     rng = random.Random(59)
-    statuses = set()
-    for _ in range(150):
-        phi = _random_ppl(rng, 2)
-        scope = validity.ppl_scope(phi)
-        alphas = validity.probability_formulas(phi)
-        reference = rcof.decide(rcof.Implies(ppl.build_Q(alphas, scope), ppl.translate(phi)))
+    formulas = [_random_ppl(rng, 2) for _ in range(300)]
+    formulas += [corpus_ppl_formula(rng, rng.randint(1, 3)) for _ in range(300)]
+    statuses = []
+    for phi in formulas:
+        reference, reference_scope = decide_by_field_formula(phi)
         decision = validity.decide_validity(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
+        scope = validity.ppl_scope(phi)
         _assert_refutes(decision, phi, scope)
-        _assert_refutes(reference, phi, scope)
+        _assert_refutes(reference, phi, reference_scope)
         if decision.status == rcof.INVALID:
-            _assert_lists_support_only(decision.witness, alphas, scope)
-        statuses.add(decision.status)
-    assert statuses == {rcof.VALID, rcof.INVALID}
+            _assert_lists_support_only(decision.witness, validity.probability_formulas(phi), scope)
+            assert prop.to_text(prop.TOP) not in decision.witness.probs
+        statuses.append(decision.status)
+    # unsupported: a nonlinear bound and no external solver, on both sides
+    assert statuses.count(rcof.VALID) >= 50 and statuses.count(rcof.INVALID) >= 50
+    assert statuses.count(rcof.UNSUPPORTED) >= 10
 
 
 def _assert_lists_support_only(witness, alphas, scope):
@@ -200,9 +220,17 @@ def _assert_lists_support_only(witness, alphas, scope):
 
 
 def test_check_rr_matches_field_formula_reference():
+    # the reference is the field sentence RR checking built on its own: each
+    # relation one atom on its formula's variable, P(T) a variable too
+    rel_ctors = {
+        "=": rcof.Eq,
+        "<": rcof.Lt,
+        "<=": rcof.Le,
+        ">=": lambda x, t: rcof.Le(t, x),
+    }
     rng = random.Random(61)
     statuses = set()
-    for _ in range(80):
+    for _ in range(400):
         hypotheses = [_random_threshold(rng) for _ in range(rng.randint(0, 3))]
         conclusion = _random_threshold(rng)
         phi = _threshold_formula(*conclusion)
@@ -213,13 +241,29 @@ def test_check_rr_matches_field_formula_reference():
         everything = [a for a, _, _ in hypotheses] + [conclusion[0]]
         scope = frozenset().union(*(prop.atoms_of(a) for a in everything))
         side = [ppl.build_Q(everything, scope)]
-        side += [calculus._REL_CTORS[rel](rcof.FormulaVar(a), t) for a, rel, t in hypotheses]
+        side += [rel_ctors[rel](rcof.FormulaVar(a), t) for a, rel, t in hypotheses]
         a, rel, t = conclusion
         reference = rcof.decide(
-            rcof.Implies(rcof.and_all(side), calculus._REL_CTORS[rel](rcof.FormulaVar(a), t))
+            rcof.Implies(rcof.and_all(side), rel_ctors[rel](rcof.FormulaVar(a), t))
         )
         decision = calculus.check_rr(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
-        _assert_refutes(decision, phi, scope)
+        _assert_refutes(decision, phi, validity.ppl_scope(phi))
         statuses.add(decision.status)
     assert statuses == {rcof.VALID, rcof.INVALID}
+
+
+def _ge_family(k: int) -> ppl.PplFormula:
+    """P(B1) >= 1/2 & ... & P(Bk) >= 1/2 -> P(B1) >= 1/2."""
+    hypotheses = " & ".join(f"P(B{i}) >= 1/2" for i in range(1, k + 1))
+    return ppl.parse(f"{hypotheses} -> P(B1) >= 1/2")
+
+
+def test_greater_equal_family_takes_one_simplex_call(monkeypatch):
+    # the work is counted, not timed: each clause of the negated matrix
+    # costs one simplex call
+    calls = []
+    feasible = rcof.fm_feasible
+    monkeypatch.setattr(rcof, "fm_feasible", lambda atoms: calls.append(1) or feasible(atoms))
+    assert validity.decide_validity(_ge_family(10)).status == rcof.VALID
+    assert len(calls) == 1
