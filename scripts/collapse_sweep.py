@@ -19,36 +19,56 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the tests pac
 from pplogic import pqentail
 from tests.helpers import semantic_class_pool
 
+DEFAULT_THRESHOLDS = "1/1:1/1,3/4:1/2,1/2:1/2,1/10:1/10"
+
+
+def threshold_pairs(text: str) -> list:
+    """The pairs of a comma-separated list of p:q."""
+    return [
+        pqentail.ThresholdPair(Fraction(p), Fraction(q))
+        for p, q in (part.split(":") for part in text.split(","))
+    ]
+
+
+def instances(atoms: int) -> tuple:
+    """The class pool over B1..B<atoms> and every hypothesis set of at most
+    two of its formulas."""
+    pool = semantic_class_pool(range(1, atoms + 1))
+    hypothesis_sets = (
+        [()] + [(a,) for a in pool] + [tuple(c) for c in itertools.combinations(pool, 2)]
+    )
+    return pool, hypothesis_sets
+
+
+def sweep(pool, hypothesis_sets, t) -> tuple:
+    """(instances, classical entailments, disagreements) at one threshold pair."""
+    total = entailments = disagreements = 0
+    for deltas in hypothesis_sets:
+        for alpha in pool:
+            classical, threshold = pqentail.collapse_check(list(deltas), alpha, t)
+            total += 1
+            entailments += classical
+            disagreements += classical != threshold
+    return total, entailments, disagreements
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--atoms", type=int, default=2, help="number of atoms (default 2)")
     parser.add_argument(
         "--thresholds",
-        default="1/1:1/1,3/4:1/2,1/2:1/2,1/10:1/10",
+        default=DEFAULT_THRESHOLDS,
         help="comma-separated p:q pairs",
     )
     args = parser.parse_args()
 
-    pool = semantic_class_pool(range(1, args.atoms + 1))
-    hypothesis_sets = (
-        [()] + [(a,) for a in pool] + [tuple(c) for c in itertools.combinations(pool, 2)]
-    )
-    pairs = [
-        pqentail.ThresholdPair(Fraction(p), Fraction(q))
-        for p, q in (part.split(":") for part in args.thresholds.split(","))
-    ]
+    pool, hypothesis_sets = instances(args.atoms)
+    pairs = threshold_pairs(args.thresholds)
     print(f"{len(pool)} formula classes, {len(hypothesis_sets)} hypothesis sets")
     grand_total = grand_disagree = 0
     for t in pairs:
         start = time.perf_counter()
-        total = entailments = disagreements = 0
-        for deltas in hypothesis_sets:
-            for alpha in pool:
-                classical, threshold = pqentail.collapse_check(list(deltas), alpha, t)
-                total += 1
-                entailments += classical
-                disagreements += classical != threshold
+        total, entailments, disagreements = sweep(pool, hypothesis_sets, t)
         elapsed = time.perf_counter() - start
         print(
             f"p={t.p} q={t.q}: {total} instances, {entailments} entail, "

@@ -16,6 +16,10 @@ Families:
 * ``oblivious-transfer``: ``pplogic valid`` on the consistency query of
   ``fixtures/oblivious_transfer.ppl`` (its axioms imply ``P(B1 & !B1) = 1``;
   the theory is consistent, so exit 1 with a model).
+* ``collapse``: the sweep of ``scripts/collapse_sweep.py`` at its defaults,
+  8,768 conjunctive threshold entailments over the 16 formula classes of 2
+  atoms at four threshold pairs, each checked against classical entailment
+  (exit 0 when none disagrees, 1 otherwise).
 
 Each case runs three times with pplogic's memo tables emptied first, and
 reports the median wall-clock seconds, the exit code and the bytes
@@ -39,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from pplogic import cli, ppl, pqentail, prop, rcof, stochval, validity  # noqa: E402
+import collapse_sweep  # noqa: E402  (beside this script)
 
 REPEATS = 3
 
@@ -65,6 +70,13 @@ def run_chain(n: int, above: bool):
     return (0 if pqentail.hailperin_entails(hyps, atoms[-1], p, q) else 1), 0
 
 
+def run_collapse():
+    pool, hypothesis_sets = collapse_sweep.instances(2)
+    pairs = collapse_sweep.threshold_pairs(collapse_sweep.DEFAULT_THRESHOLDS)
+    disagreements = sum(collapse_sweep.sweep(pool, hypothesis_sets, t)[2] for t in pairs)
+    return (1 if disagreements else 0), 0
+
+
 def cases():
     for n in (8, 10, 12, 14):
         conj = " & ".join(f"B{k}" for k in range(1, n + 1))
@@ -85,6 +97,7 @@ def cases():
     axioms = [line.split("#", 1)[0].strip() for line in theory.read_text().splitlines()]
     query = " & ".join(f"({a})" for a in axioms if a) + " -> P(B1 & !B1) = 1"
     yield "oblivious-transfer", 6, lambda: run_cli(["valid", query])
+    yield "collapse", 2, run_collapse
 
 
 def main() -> int:

@@ -89,7 +89,13 @@ def _cmd_prob(args) -> int:
         V = _load_valuation(args.valuation)
         alpha = prop.parse(args.formula)
         value = stochval.prob(V, alpha, cap=args.scope_cap)
-    except (OSError, stochval.DistributionError, prop.ParseError, prop.ScopeCapError) as e:
+    except (
+        OSError,
+        UnicodeDecodeError,
+        stochval.DistributionError,
+        prop.ParseError,
+        prop.ScopeCapError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.fmt == "json":
@@ -143,7 +149,7 @@ def _cmd_pq_entail(args) -> int:
             )
     except (
         OSError,
-        ValueError,
+        ValueError,  # also an undecodable hypothesis file
         ZeroDivisionError,
         prop.ParseError,
         prop.ScopeCapError,
@@ -162,7 +168,7 @@ def _cmd_check(args) -> int:
     try:
         with open(args.script, "r", encoding="utf-8") as handle:
             derivation = calculus.parse_script(handle.read())
-    except (OSError, calculus.ScriptError) as e:
+    except (OSError, UnicodeDecodeError, calculus.ScriptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     report = calculus.check_derivation(derivation, config)
@@ -205,7 +211,7 @@ def _cmd_galois_demo(args) -> int:
             point = prop.phi(V.carrier, U)
             rows.append((prop.to_text(point), P(point)))
         back = stochval.svp(P, V.carrier)
-    except (OSError, stochval.DistributionError, prop.ScopeCapError) as e:
+    except (OSError, UnicodeDecodeError, stochval.DistributionError, prop.ScopeCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     round_trip = back == V

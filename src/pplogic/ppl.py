@@ -15,9 +15,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Union
 
 from . import prop, rcof, stochval
+
+# Cell counts whose distribution-polytope rows are kept.
+_POLYTOPE_SIZES = 64
 
 
 class PplParseError(ValueError):
@@ -169,10 +173,11 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
     each cell's mass on its lowest subset.
 
     Variable c is the mass y_c of the c-th cell in ascending order of its
-    lowest subset's bitmask; the rows say y_c >= 0 and sum_c y_c = 1.  The
-    second result maps each formula to the coefficients {c: 1} of the cells
-    inside its models, whose sum is its probability.  The third lists each
-    cell's representative, the bitmask of its lowest subset.
+    lowest subset's bitmask; the rows, a fresh list the caller may extend,
+    say y_c >= 0 and sum_c y_c = 1.  The second result maps each formula to
+    the coefficients {c: 1} of the cells inside its models, whose sum is its
+    probability.  The third lists each cell's representative, the bitmask of
+    its lowest subset.
     """
     scope = frozenset(scope)
     _check_scope(alphas, scope, cap)
@@ -181,14 +186,17 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
     for m in dict.fromkeys(masks.values()):
         cells = [part for c in cells for part in (c & m, c & ~m) if part]
     points = sorted((c & -c).bit_length() - 1 for c in cells)
-    k = len(points)
-    rows = [rcof.LinearAtom.make({c: -rcof.ONE_F}, rcof.ZERO_F, rcof.REL_LE) for c in range(k)]
-    rows.append(rcof.LinearAtom.make(dict.fromkeys(range(k), rcof.ONE_F), -rcof.ONE_F, rcof.REL_EQ))
-    sums = {
-        a: {c: rcof.ONE_F for c, point in enumerate(points) if m >> point & 1}
-        for a, m in masks.items()
-    }
-    return rows, sums, points
+    sums = {a: {c: 1 for c, point in enumerate(points) if m >> point & 1} for a, m in masks.items()}
+    return list(_polytope_rows(len(points))), sums, points
+
+
+@lru_cache(maxsize=_POLYTOPE_SIZES)
+def _polytope_rows(k: int) -> tuple:
+    """The rows y_c >= 0 and sum_c y_c = 1 over the masses of k cells, built
+    in the normal form ``LinearAtom.make`` would give them."""
+    rows = [rcof.LinearAtom(((c, -1),), rcof.ZERO_F, rcof.REL_LE) for c in range(k)]
+    rows.append(rcof.LinearAtom(tuple((c, 1) for c in range(k)), -rcof.ONE_F, rcof.REL_EQ))
+    return tuple(rows)
 
 
 def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rcof.Formula:

@@ -46,12 +46,18 @@ class ThresholdPair:
             raise InvalidThresholds(f"need 0 < q <= p <= 1, got p={self.p}, q={self.q}")
 
 
-def p_satisfies(V: stochval.StochasticValuation, alpha: prop.PropFormula, p) -> bool:
-    """Whether ``alpha`` reaches probability at least ``p`` under V."""
+def p_satisfies(
+    V: stochval.StochasticValuation,
+    alpha: prop.PropFormula,
+    p,
+    cap: int = prop.DEFAULT_SCOPE_CAP,
+) -> bool:
+    """Whether ``alpha`` reaches probability at least ``p`` under V, for a
+    formula of at most ``cap`` atoms."""
     p = Fraction(p)
     if not (ZERO <= p <= ONE):
         raise ValueError(f"threshold {p} outside [0,1]")
-    return stochval.prob(V, alpha) >= p
+    return stochval.prob(V, alpha, cap) >= p
 
 
 def find_refuting_valuation(

@@ -29,6 +29,7 @@ import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 from . import prop
@@ -36,6 +37,10 @@ from .config import Config
 
 ZERO_F = Fraction(0)
 ONE_F = Fraction(1)
+
+# Distinct systems whose simplex result is kept; a sweep of small threshold
+# entailments poses a few hundred.
+_SIMPLEX_SYSTEMS = 4096
 
 
 class UnboundVariableError(KeyError):
@@ -253,7 +258,7 @@ class VarTable:
         self.formula_vars: dict = {}  # key -> id
         self._next = len(self.points)
 
-    def coeffs_of(self, v: Union[Var, FormulaVar]) -> Mapping[int, Fraction]:
+    def coeffs_of(self, v: Union[Var, FormulaVar]) -> Mapping[int, int]:
         """The variable as a linear form over ids; callers must not mutate it."""
         if isinstance(v, FormulaVar) and v.formula in self.sums:
             return self.sums[v.formula]
@@ -261,7 +266,7 @@ class VarTable:
         if name not in ids:
             ids[name] = self._next
             self._next += 1
-        return {ids[name]: ONE_F}
+        return {ids[name]: 1}
 
     def assignment_of(self, values: Mapping[int, Fraction]) -> Assignment:
         """The assignment of a solution: every variable met, each cell with
@@ -297,7 +302,7 @@ def _linearize(t: Term, table: VarTable):
         c2, k2 = _linearize(t.right, table)
         out = dict(c1)
         for k, v in c2.items():
-            out[k] = out.get(k, ZERO_F) + v
+            out[k] = out.get(k, 0) + v
         return {k: v for k, v in out.items() if v != 0}, k1 + k2
     c1, k1 = _linearize(t.left, table)
     c2, k2 = _linearize(t.right, table)
@@ -326,28 +331,36 @@ REL_EQ, REL_LE, REL_LT = "eq", "le", "lt"
 class LinearAtom:
     """Normalized constraint  sum(coeff_i * v_i) + const  REL  0.
 
-    Coefficients are gcd-reduced integers over ascending variable ids; for
-    equalities the first nonzero coefficient is positive.
+    Coefficients are gcd-reduced ``int``s over ascending variable ids and the
+    constant is an integer-valued Fraction; for equalities the first nonzero
+    coefficient is positive.  Atoms are hash keys of the simplex memo, so the
+    hash is precomputed.
     """
 
     coeffs: tuple  # ((var_id, int), ...) ascending, no zeros
     const: Fraction
     rel: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coeffs, self.const, self.rel)))
+
+    def __hash__(self):
+        return self._hash
+
     @staticmethod
     def make(coeffs: Mapping[int, Fraction], const: Fraction, rel: str) -> "LinearAtom":
-        items = sorted((k, v) for k, v in coeffs.items() if v != 0)
-        denom = math.lcm(const.denominator, *(v.denominator for _, v in items)) if items or const else 1
-        ints = [(k, int(v * denom)) for k, v in items]
-        c = const * denom
-        g = math.gcd(int(c.numerator) if c.denominator == 1 else 0, *(abs(n) for _, n in ints))
+        items = [(k, v) for k, v in sorted(coeffs.items()) if v]
+        denom = math.lcm(const.denominator, *(v.denominator for _, v in items))
+        ints = [(k, v.numerator * (denom // v.denominator)) for k, v in items]
+        c = const.numerator * (denom // const.denominator)
+        g = math.gcd(c, *(n for _, n in ints))
         if g > 1:
             ints = [(k, n // g) for k, n in ints]
-            c = c / g
+            c //= g
         if rel == REL_EQ and ints and ints[0][1] < 0:
             ints = [(k, -n) for k, n in ints]
             c = -c
-        return LinearAtom(tuple((k, Fraction(n)) for k, n in ints), c, rel)
+        return LinearAtom(tuple(ints), Fraction(c), rel)
 
     def holds_on_constants(self) -> bool:
         if self.rel == REL_EQ:
@@ -362,7 +375,7 @@ def _atom_to_linear(atom, table: VarTable) -> LinearAtom:
     cr, kr = _linearize(atom.right, table)
     coeffs = dict(cl)
     for k, v in cr.items():
-        coeffs[k] = coeffs.get(k, ZERO_F) - v
+        coeffs[k] = coeffs.get(k, 0) - v
     rel = {Eq: REL_EQ, Lt: REL_LT, Le: REL_LE}[type(atom)]
     return LinearAtom.make(coeffs, kl - kr, rel)
 
@@ -397,8 +410,18 @@ def fm_feasible(atoms: Iterable[LinearAtom]) -> Optional[dict]:
     can move proves infeasibility.  A concrete delta is then fixed small
     enough to keep every bound, and the vertex reached is returned.  The
     name is kept from the Fourier-Motzkin procedure the simplex replaced.
+
+    Each distinct sequence of atoms is decided once while it stays in a
+    bounded memo; every caller gets a fresh dict.
     """
-    atoms = list(atoms)
+    values = _simplex(tuple(atoms))
+    return None if values is None else dict(values)
+
+
+@lru_cache(maxsize=_SIMPLEX_SYSTEMS)
+def _simplex(atoms: tuple) -> Optional[dict]:
+    """The simplex of ``fm_feasible`` on one system; callers must not mutate
+    the dict returned."""
     column: dict = {}  # var id, or a slack's coefficient tuple -> column
     lower: list = []
     upper: list = []
@@ -420,7 +443,7 @@ def fm_feasible(atoms: Iterable[LinearAtom]) -> Optional[dict]:
             (v, c), = a.coeffs
             col = column_of(v)
         else:  # a row and its negation share one slack
-            c = ONE_F if a.coeffs[0][1] > 0 else -ONE_F
+            c = 1 if a.coeffs[0][1] > 0 else -1
             lhs = tuple((k, c * v) for k, v in a.coeffs)
             if lhs not in column:
                 rows[column_of(lhs)] = {column_of(k): v for k, v in lhs}
@@ -485,7 +508,7 @@ def _pivot_and_update(rows: dict, value: list, i: int, j: int, target: tuple) ->
     """Move basic column i to ``target`` through nonbasic column j, then swap
     their roles: j becomes basic and i nonbasic."""
     row = rows.pop(i)
-    a = row.pop(j)
+    a = Fraction(row.pop(j))  # rows start as ints; no int / int below
     step = ((target[0] - value[i][0]) / a, (target[1] - value[i][1]) / a)
     value[i] = target
     value[j] = (value[j][0] + step[0], value[j][1] + step[1])

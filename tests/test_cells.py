@@ -71,6 +71,14 @@ def test_cells_are_the_sign_classes_of_the_points():
             assert all(models >> m & 1 == 0 for c, cls in enumerate(classes) if c not in inside for m in cls)
 
 
+def test_distribution_rows_are_a_fresh_list():
+    alphas, scope = [prop.Atom(1), prop.Atom(2)], frozenset({1, 2})
+    rows, _, points = ppl.distribution_rows(alphas, scope)
+    rows.append(rcof.LinearAtom.make({0: 1}, F(-1, 2), rcof.REL_LE))
+    again, _, _ = ppl.distribution_rows(alphas, scope)
+    assert len(again) == len(points) + 1 and again == rows[:-1]
+
+
 def test_seven_link_chain_has_fewer_cells_than_points():
     chain = [prop.Atom(1)] + [prop.Implies(prop.Atom(k), prop.Atom(k + 1)) for k in range(1, 7)]
     scope = frozenset(range(1, 8))

@@ -201,6 +201,24 @@ def test_deeply_nested_formula_exits_2(capsys, argv):
     assert "nested too deeply" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prob", "{path}", "B1"),
+        ("galois-demo", "{path}"),
+        ("check", "{path}"),
+        ("pq-entail", "--p", "1/2", "--q", "1/2", "--hyp", "{path}", "--concl", "B1"),
+    ],
+    ids=["prob", "galois-demo", "check", "pq-entail"],
+)
+def test_undecodable_input_file_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe" + "B1".encode("utf-16-le"))
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "decode" in err and "Traceback" not in err
+
+
 class TestPqEntail:
     def write_hyps(self, tmp_path, lines):
         path = tmp_path / "hyps.txt"

@@ -48,6 +48,16 @@ class TestPSatisfies:
         V = stochval.StochasticValuation(frozenset({1}), stochval.FinDist.point(frozenset({1}), frozenset()))
         assert pqentail.p_satisfies(V, B1, F(0)) is True
 
+    def test_cap_admits_a_17_atom_formula(self):
+        A = frozenset(range(1, 18))
+        alpha = prop.conj_all([prop.Atom(k) for k in sorted(A)])
+        top = stochval.StochasticValuation(A, stochval.FinDist.point(A, A))
+        bottom = stochval.StochasticValuation(A, stochval.FinDist.point(A, frozenset()))
+        with pytest.raises(prop.ScopeCapError):
+            pqentail.p_satisfies(top, alpha, F(1, 2))
+        assert pqentail.p_satisfies(top, alpha, F(1, 2), cap=17) is True
+        assert pqentail.p_satisfies(bottom, alpha, F(1, 2), cap=17) is False
+
 
 class TestHailperin:
     def test_unsatisfiable_single_hypothesis_entails_vacuously(self):

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from pplogic import ppl, prop, rcof
+from pplogic import ppl, pqentail, prop, rcof
 from pplogic.config import Config
 
-from .helpers import pairing_feasible
+from .helpers import pairing_feasible, semantic_class_pool
 
 B1 = prop.Atom(1)
 x0, x1, x2 = rcof.Var(0), rcof.Var(1), rcof.Var(2)
@@ -47,6 +47,14 @@ class TestLinearAtomNormalization:
     def test_denominators_cleared(self):
         a = rcof.LinearAtom.make({0: F(1, 2)}, F(1, 3), rcof.REL_LT)
         assert a.coeffs == ((0, F(3)),) and a.const == F(2)
+
+    def test_coefficients_are_ints_and_match_fraction_built_atoms(self):
+        a = rcof.LinearAtom.make({0: F(1, 2), 2: F(-3, 4)}, F(1, 3), rcof.REL_LE)
+        assert a.coeffs == ((0, 6), (2, -9)) and all(type(v) is int for _, v in a.coeffs)
+        assert type(a.const) is F and a.const == 4
+        b = rcof.LinearAtom(tuple((k, F(v)) for k, v in a.coeffs), a.const, a.rel)
+        assert a == b and hash(a) == hash(b)
+        assert rcof.LinearAtom.make({0: 6, 2: -9}, F(4), rcof.REL_LE) == a
 
 
 class TestFmFeasible:
@@ -378,8 +386,7 @@ def _polytope_system(rng: random.Random) -> list:
     return atoms
 
 
-def test_fm_feasible_agrees_with_pure_pairing():
-    # pure-pairing Fourier-Motzkin is the verdict reference on small systems
+def _pairing_systems() -> list:
     rng = random.Random(73)
     systems = []
     for _ in range(400):
@@ -395,7 +402,12 @@ def test_fm_feasible_agrees_with_pure_pairing():
             rel = rng.choice([rcof.REL_EQ, rcof.REL_LE, rcof.REL_LT])
             atoms.append(rcof.LinearAtom.make(coeffs, const, rel))
         systems.append(atoms)
-    systems += [_polytope_system(rng) for _ in range(400)]
+    return systems + [_polytope_system(rng) for _ in range(400)]
+
+
+def test_fm_feasible_agrees_with_pure_pairing():
+    # pure-pairing Fourier-Motzkin is the verdict reference on small systems
+    systems = _pairing_systems()
     feasible = 0
     for atoms in systems:
         point = rcof.fm_feasible(atoms)
@@ -406,3 +418,75 @@ def test_fm_feasible_agrees_with_pure_pairing():
                 total = sum((v * point.get(k, F(0)) for k, v in a.coeffs), start=a.const)
                 assert {rcof.REL_EQ: total == 0, rcof.REL_LE: total <= 0, rcof.REL_LT: total < 0}[a.rel]
     assert 0 < feasible < len(systems)
+
+
+def _collapse_systems() -> list:
+    """Every system a seeded draw of 2-atom threshold entailments poses."""
+    rng = random.Random(83)
+    pool = semantic_class_pool([1, 2])
+    pairs = [pqentail.ThresholdPair(p, q) for p, q in [(1, 1), (F(3, 4), F(1, 2)), (F(1, 10), F(1, 10))]]
+    posed = []
+    simplex = rcof.fm_feasible
+
+    def spy(atoms):
+        posed.append(list(atoms))
+        return simplex(posed[-1])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rcof, "fm_feasible", spy)
+        for _ in range(300):
+            deltas = rng.sample(pool, rng.randrange(3))
+            pqentail.collapse_check(deltas, rng.choice(pool), rng.choice(pairs))
+    return posed
+
+
+def test_memoized_simplex_equals_the_uncached_one():
+    systems = _pairing_systems() + _collapse_systems()
+    rcof._simplex.cache_clear()
+    for atoms in systems + systems:  # the second pass answers from the memo
+        assert rcof.fm_feasible(atoms) == rcof._simplex.__wrapped__(tuple(atoms))
+    info = rcof._simplex.cache_info()
+    assert info.hits >= len(systems) and info.currsize < len(systems)
+
+
+def test_mutating_a_returned_point_leaves_later_hits_alone():
+    atoms = [
+        rcof.LinearAtom.make({0: 1, 1: 1}, F(-1), rcof.REL_EQ),
+        rcof.LinearAtom.make({0: -1}, F(1, 3), rcof.REL_LE),
+    ]
+    expected = rcof._simplex.__wrapped__(tuple(atoms))
+    rcof._simplex.cache_clear()
+    first = rcof.fm_feasible(atoms)
+    first[0] = F(99)
+    first[7] = F(1)
+    assert rcof.fm_feasible(atoms) == expected
+    assert rcof._simplex.cache_info().hits == 1
+
+
+def test_simplex_memo_is_bounded():
+    maxsize = rcof._simplex.cache_info().maxsize
+    assert maxsize is not None and maxsize == rcof._SIMPLEX_SYSTEMS
+
+
+def test_integer_systems_that_pivot_return_fractions(monkeypatch):
+    # int rows divided by an int pivot element would give floats
+    pivots = []
+    pivot = rcof._pivot_and_update
+    monkeypatch.setattr(rcof, "_pivot_and_update", lambda *args: (pivots.append(1), pivot(*args)))
+    rng = random.Random(89)
+    pivoted = 0
+    for _ in range(300):
+        atoms = tuple(
+            rcof.LinearAtom.make(
+                {i: rng.choice([-5, -3, -2, 2, 3, 5]) for i in range(3) if rng.random() < 0.8},
+                F(rng.randint(-9, 9)),
+                rng.choice([rcof.REL_EQ, rcof.REL_LE, rcof.REL_LT]),
+            )
+            for _ in range(rng.randint(2, 5))
+        )
+        pivots.clear()
+        point = rcof._simplex.__wrapped__(atoms)
+        if point is not None and pivots:
+            pivoted += 1
+            assert all(type(v) is F for v in point.values())
+    assert pivoted >= 20
