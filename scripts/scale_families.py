@@ -19,7 +19,13 @@ Families:
 * ``collapse``: the sweep of ``scripts/collapse_sweep.py`` at its defaults,
   8,768 conjunctive threshold entailments over the 16 formula classes of 2
   atoms at four threshold pairs, each checked against classical entailment
-  (exit 0 when none disagrees, 1 otherwise).
+  (exit 0 when none disagrees, 1 otherwise);
+* ``smt-emit`` and ``smt-valid``: ``pplogic emit-smt`` (exit 0) and
+  ``pplogic valid`` (exit 3, as no solver is configured) on
+  ``P(B1 & ... & Bn) < x1 * x1`` at n = 8, 12, 14;
+* ``taut``: ``pplogic check`` on a one-step script
+  ``1. P(B1) = 1 & ... & P(Bk) = 1 -> P(B1) = 1 ; TAUT`` at k = 12, 16
+  (accepted, exit 0).
 
 Each case runs three times with pplogic's memo tables emptied first, and
 reports the median wall-clock seconds, the exit code and the bytes
@@ -32,9 +38,11 @@ holding this script.  Takes no options; prints one JSON object:
 import contextlib
 import io
 import json
+import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pplogic import cli, ppl, pqentail, prop, rcof, stochval, validity  # noqa: E402
+from pplogic import cli, config, ppl, pqentail, prop, rcof, stochval, validity  # noqa: E402
 import collapse_sweep  # noqa: E402  (beside this script)
 
 REPEATS = 3
@@ -60,6 +68,13 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return code, len(out.getvalue().encode())
+
+
+def run_script(text: str):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "step.ppl-proof"
+        path.write_text(text)
+        return run_cli(["check", str(path)])
 
 
 def run_chain(n: int, above: bool):
@@ -98,9 +113,18 @@ def cases():
     query = " & ".join(f"({a})" for a in axioms if a) + " -> P(B1 & !B1) = 1"
     yield "oblivious-transfer", 6, lambda: run_cli(["valid", query])
     yield "collapse", 2, run_collapse
+    for n in (8, 12, 14):
+        formula = f"P({' & '.join(f'B{k}' for k in range(1, n + 1))}) < x1 * x1"
+        yield "smt-emit", n, lambda formula=formula: run_cli(["emit-smt", formula])
+        yield "smt-valid", n, lambda formula=formula: run_cli(["valid", formula])
+    for k in (12, 16):
+        hypotheses = " & ".join(f"P(B{i}) = 1" for i in range(1, k + 1))
+        yield "taut", k, lambda hypotheses=hypotheses: run_script(
+            f"1. {hypotheses} -> P(B1) = 1 ; TAUT\n")
 
 
 def main() -> int:
+    os.environ.pop(config.SOLVER_ENV_VAR, None)  # smt-valid runs without a solver
     rows = []
     for family, n, op in cases():
         seconds = []

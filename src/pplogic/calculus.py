@@ -26,10 +26,6 @@ from . import ppl, prop, rcof, validity
 from .config import Config
 
 
-class TautCapError(RuntimeError):
-    """Too many distinct probability atoms to truth-table."""
-
-
 class RrShapeError(ValueError):
     """Formula is not a threshold implication of probability atoms."""
 
@@ -82,30 +78,24 @@ class Derivation:
 
 # -- TAUT ------------------------------------------------------------------------
 
-def check_taut(phi: ppl.PplFormula, max_atoms: int = 16) -> bool:
-    """Truth-table the formula with each distinct probability atom as a
-    letter, except ``P(T) < 1``, which is false on every row as under every
-    valuation."""
-    letters: dict = {}
+def check_taut(phi: ppl.PplFormula, cap: int = prop.DEFAULT_SCOPE_CAP) -> bool:
+    """Whether the formula abstracts to a propositional tautology: each
+    distinct probability atom becomes a letter ``B1``, ``B2``, ... and
+    ``P(T) < 1`` becomes ``F``, false as under every valuation, and
+    ``prop.entails_c`` truth-tables the result.
 
-    def collect(f):
+    Raises ``prop.ScopeCapError`` above ``cap`` distinct atoms.
+    """
+    letters = {ppl.FALSUM: prop.BOTTOM}  # F is B1 & !B1, so it adds no letter
+
+    def abstract(f):
         if isinstance(f, ppl.PplAtom):
-            if f != ppl.FALSUM:
-                letters.setdefault(f, len(letters))
-        else:
-            collect(f.antecedent)
-            collect(f.consequent)
+            if f not in letters:
+                letters[f] = prop.Atom(len(letters))
+            return letters[f]
+        return prop.Implies(abstract(f.antecedent), abstract(f.consequent))
 
-    collect(phi)
-    if len(letters) > max_atoms:
-        raise TautCapError(f"{len(letters)} distinct atoms exceed the cap {max_atoms}")
-
-    def eval_under(f, row: int) -> bool:
-        if isinstance(f, ppl.PplAtom):
-            return f != ppl.FALSUM and bool(row >> letters[f] & 1)
-        return (not eval_under(f.antecedent, row)) or eval_under(f.consequent, row)
-
-    return all(eval_under(phi, row) for row in range(1 << len(letters)))
+    return prop.entails_c([], abstract(phi), cap)
 
 
 # -- RR --------------------------------------------------------------------------
@@ -184,10 +174,11 @@ def check_derivation(d: Derivation, config: Config = None) -> DerivationReport:
             verdict = StepVerdict(idx, ok, "HYP", detail)
         elif isinstance(just, Taut):
             try:
-                ok = check_taut(formula)
+                ok = check_taut(formula, config.scope_cap)
                 detail = "" if ok else "abstraction is not a propositional tautology"
-            except TautCapError as e:
-                ok, detail = False, str(e)
+            except prop.ScopeCapError as e:
+                report.unsupported = True
+                ok, detail = False, f"side condition {rcof.UNSUPPORTED}: {e}"
             verdict = StepVerdict(idx, ok, "TAUT", detail)
         elif isinstance(just, Rr):
             try:

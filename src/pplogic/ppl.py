@@ -151,13 +151,6 @@ def translate(phi: PplFormula) -> rcof.Formula:
     return rcof.Implies(translate(phi.antecedent), translate(phi.consequent))
 
 
-def _check_scope(alphas, scope: prop.Scope, cap: int) -> None:
-    for a in alphas:
-        if not prop.atoms_of(a) <= scope:
-            raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
-    prop._check_enumerable(scope, cap)
-
-
 def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP):
     """The distribution polytope over a scope, as linear rows over the cells
     of the formulas, and each formula's probability as a sum over them.
@@ -180,7 +173,10 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
     its lowest subset.
     """
     scope = frozenset(scope)
-    _check_scope(alphas, scope, cap)
+    for a in alphas:
+        if not prop.atoms_of(a) <= scope:
+            raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
+    prop._check_enumerable(scope, cap)
     masks = {a: prop._models_mask(a, scope) for a in alphas}
     cells = [(1 << (1 << len(scope))) - 1]
     for m in dict.fromkeys(masks.values()):
@@ -200,30 +196,22 @@ def _polytope_rows(k: int) -> tuple:
 
 
 def build_Q(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rcof.Formula:
-    """The distribution constraints over the point formulas of a scope as
-    one field conjunction, the form rendered as SMT-LIB for external
-    solvers.
+    """The cells of ``distribution_rows`` as one field conjunction, the form
+    rendered as SMT-LIB for external solvers.
 
-    (i) each point-formula variable lies in [0,1]; (ii) the point
-    variables sum to 1; (iii) each formula's variable equals the sum of
-    the variables of its models' point formulas (an empty sum is the zero
-    term).
+    Each cell's mass is the variable of its representative's point formula,
+    the name ``rcof.VarTable.assignment_of`` gives a witness's mass: (i)
+    each cell variable is at least 0; (ii) the cell variables sum to 1;
+    (iii) each formula's variable equals the sum of the variables of the
+    cells inside its models (an empty sum is the zero term).
     """
-    alphas = list(dict.fromkeys(alphas))
     scope = frozenset(scope)
-    _check_scope(alphas, scope, cap)
-    point_vars = [
-        rcof.FormulaVar(prop.phi(scope, U)) for U in prop.subsets_ascending(scope)
-    ]
-    parts = []
-    for x in point_vars:
-        parts.append(rcof.Le(rcof.ZERO, x))
-        parts.append(rcof.Le(x, rcof.ONE))
-    parts.append(rcof.Eq(rcof.add_all(point_vars), rcof.ONE))
-    for a in alphas:
-        bits = prop._models_mask(a, scope)
-        total = rcof.add_all(x for m, x in enumerate(point_vars) if bits >> m & 1)
-        parts.append(rcof.Eq(rcof.FormulaVar(a), total))
+    _, sums, points = distribution_rows(alphas, scope, cap)
+    cells = [rcof.FormulaVar(prop.phi(scope, prop.subset_of_mask(scope, m))) for m in points]
+    parts = [rcof.Le(rcof.ZERO, y) for y in cells]
+    parts.append(rcof.Eq(rcof.add_all(cells), rcof.ONE))
+    for a, coeffs in sums.items():
+        parts.append(rcof.Eq(rcof.FormulaVar(a), rcof.add_all(cells[c] for c in coeffs)))
     return rcof.and_all(parts)
 
 

@@ -105,7 +105,8 @@ def const(value) -> Const:
 
 def _fold_balanced(items: list, ctor):
     """Pairwise fold into a tree of depth about log2(len(items)), so the
-    recursive walkers stay shallow on the 2^n-part distribution constraints."""
+    recursive walkers stay shallow on long sums and conjunctions, such as
+    the distribution constraints over many cells."""
     while len(items) > 1:
         items = [ctor(*items[i : i + 2]) if i + 1 < len(items) else items[i]
                  for i in range(0, len(items), 2)]

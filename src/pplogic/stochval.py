@@ -397,7 +397,7 @@ def dist_from_json(text: str) -> FinDist:
     if not isinstance(raw, dict) or set(raw) != {"carrier", "mass"}:
         raise DistributionError("expected an object with 'carrier' and 'mass'")
     carrier = raw["carrier"]
-    if not isinstance(carrier, list) or not all(isinstance(a, int) and a >= 0 for a in carrier):
+    if not isinstance(carrier, list) or not all(type(a) is int and a >= 0 for a in carrier):
         raise DistributionError("'carrier' must be a list of atom indices")
     if len(set(carrier)) != len(carrier):
         raise DistributionError("'carrier' has duplicate atoms")
@@ -405,16 +405,15 @@ def dist_from_json(text: str) -> FinDist:
         raise DistributionError("'mass' must be an object")
     masses = {}
     for key, val in raw["mass"].items():
+        if type(val) is not str:
+            raise DistributionError(f"bad mass entry {key!r}: {json.dumps(val)} is not a string")
         try:
             m = int(key)
             p = Fraction(val)
         except (ValueError, ZeroDivisionError) as e:
             raise DistributionError(f"bad mass entry {key!r}: {e}") from None
         masses[m] = p
-    try:
-        return FinDist.from_masks(frozenset(carrier), masses)
-    except DistributionError:
-        raise
+    return FinDist.from_masks(frozenset(carrier), masses)
 
 
 def valuation_from_json(text: str) -> StochasticValuation:

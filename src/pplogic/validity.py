@@ -85,7 +85,7 @@ def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision
     A linear translation is decided over the polytope rows of the
     formulas' cells, each formula variable the mass of the cells inside its
     models; a nonlinear one goes to the external-solver route with Q
-    rendered as a field formula over the point formulas.
+    rendered over the same cells as a field formula (``ppl.build_Q``).
     """
     config = config or Config()
     alphas = probability_formulas(phi)

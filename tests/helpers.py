@@ -387,6 +387,36 @@ def translate_truth_as_variable(phi: ppl.PplFormula) -> rcof.Formula:
     )
 
 
+def build_Q_by_points(alphas, scope, cap: int = prop.DEFAULT_SCOPE_CAP) -> rcof.Formula:
+    """Reference for ``ppl.build_Q``: the distribution constraints over the
+    point formulas of a scope, the construction the cells replaced.
+
+    (i) each point-formula variable lies in [0,1]; (ii) the point
+    variables sum to 1; (iii) each formula's variable equals the sum of
+    the variables of its models' point formulas (an empty sum is the zero
+    term).
+    """
+    alphas = list(dict.fromkeys(alphas))
+    scope = frozenset(scope)
+    for a in alphas:
+        if not prop.atoms_of(a) <= scope:
+            raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
+    prop._check_enumerable(scope, cap)
+    point_vars = [
+        rcof.FormulaVar(prop.phi(scope, U)) for U in prop.subsets_ascending(scope)
+    ]
+    parts = []
+    for x in point_vars:
+        parts.append(rcof.Le(rcof.ZERO, x))
+        parts.append(rcof.Le(x, rcof.ONE))
+    parts.append(rcof.Eq(rcof.add_all(point_vars), rcof.ONE))
+    for a in alphas:
+        bits = prop._models_mask(a, scope)
+        total = rcof.add_all(x for m, x in enumerate(point_vars) if bits >> m & 1)
+        parts.append(rcof.Eq(rcof.FormulaVar(a), total))
+    return rcof.and_all(parts)
+
+
 def decide_by_field_formula(phi: ppl.PplFormula):
     """Reference for ``validity.decide_validity``: the field sentence
     ``Q -> psi`` of the encoding above, Q the point-formula constraints over
@@ -394,5 +424,32 @@ def decide_by_field_formula(phi: ppl.PplFormula):
     ``rcof.decide``.  Returns the decision and the scope of Q."""
     alphas = probability_formulas_with_truth(phi)
     scope = frozenset().union(*(prop.atoms_of(a) for a in alphas))
-    matrix = rcof.Implies(ppl.build_Q(alphas, scope), translate_truth_as_variable(phi))
+    matrix = rcof.Implies(build_Q_by_points(alphas, scope), translate_truth_as_variable(phi))
     return rcof.decide(matrix), scope
+
+
+def taut_by_rows(phi: ppl.PplFormula, max_atoms: int = prop.DEFAULT_SCOPE_CAP) -> bool:
+    """Reference for ``calculus.check_taut``: evaluates the formula row by
+    row with each distinct probability atom as a letter, except
+    ``P(T) < 1``, which is false on every row.  Raises
+    ``prop.ScopeCapError`` above ``max_atoms`` letters."""
+    letters: dict = {}
+
+    def collect(f):
+        if isinstance(f, ppl.PplAtom):
+            if f != ppl.FALSUM:
+                letters.setdefault(f, len(letters))
+        else:
+            collect(f.antecedent)
+            collect(f.consequent)
+
+    collect(phi)
+    if len(letters) > max_atoms:
+        raise prop.ScopeCapError(f"{len(letters)} distinct atoms exceed the cap {max_atoms}")
+
+    def eval_under(f, row: int) -> bool:
+        if isinstance(f, ppl.PplAtom):
+            return f != ppl.FALSUM and bool(row >> letters[f] & 1)
+        return (not eval_under(f.antecedent, row)) or eval_under(f.consequent, row)
+
+    return all(eval_under(phi, row) for row in range(1 << len(letters)))

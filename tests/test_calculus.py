@@ -6,7 +6,7 @@ import pytest
 
 from pplogic import calculus, ppl, prop, rcof, stochval, validity
 
-from .helpers import corpus_ppl_formula, random_valuation, semantic_class_pool
+from .helpers import corpus_ppl_formula, random_valuation, semantic_class_pool, taut_by_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -55,7 +55,7 @@ class TestCheckTaut:
             try:
                 if not calculus.check_taut(phi):
                     continue
-            except calculus.TautCapError:
+            except prop.ScopeCapError:
                 continue
             accepted += 1
             # unsupported is allowed: nonlinear bounds need an external solver
@@ -65,8 +65,46 @@ class TestCheckTaut:
     def test_cap(self):
         parts = [ppl.PplAtom(B1, "<", rcof.Var(k)) for k in range(17)]
         phi = ppl.pand_all(parts)
-        with pytest.raises(calculus.TautCapError):
+        with pytest.raises(prop.ScopeCapError):
             calculus.check_taut(ppl.PplImplies(phi, phi))
+        assert calculus.check_taut(ppl.PplImplies(phi, phi), cap=17) is True
+        # P(T) < 1 adds no letter: sixteen atoms and it fit the default cap
+        below = ppl.pand_all(parts[:16])
+        assert calculus.check_taut(ppl.PplImplies(below, ppl.pnot(ppl.pnot(below)))) is True
+
+    def test_matches_the_row_evaluator(self):
+        # half corpus formulas, half combinations of a few letters, which are
+        # often tautologies; a cap of 10 keeps the row evaluator cheap and
+        # puts some formulas over it on both sides
+        rng = random.Random(89)
+        accepted = capped = 0
+        for i in range(4000):
+            if i % 2:
+                phi = corpus_ppl_formula(rng, rng.randint(1, 4))
+            else:
+                leaves = [corpus_ppl_formula(rng, 0) for _ in range(rng.randint(1, 3))]
+                phi = _few_letter_formula(rng, leaves + [ppl.FALSUM], rng.randint(1, 4))
+            try:
+                expected = taut_by_rows(phi, 10)
+            except prop.ScopeCapError:
+                capped += 1
+                with pytest.raises(prop.ScopeCapError):
+                    calculus.check_taut(phi, 10)
+                continue
+            assert calculus.check_taut(phi, 10) is expected, ppl.to_text(phi)
+            accepted += expected
+        assert accepted >= 300 and capped >= 50
+
+
+def _few_letter_formula(rng, leaves, depth):
+    """A random connective tree over the given leaves."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(leaves)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return ppl.pnot(_few_letter_formula(rng, leaves, depth - 1))
+    ctor = (ppl.PplImplies, ppl.pand, ppl.por, ppl.piff, ppl.PplImplies)[pick - 1]
+    return ctor(_few_letter_formula(rng, leaves, depth - 1), _few_letter_formula(rng, leaves, depth - 1))
 
 
 class TestCheckRr:

@@ -53,9 +53,19 @@ class TestProb:
 
     def test_malformed_distribution_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"carrier":[1],"mass":{"0":"1/2"}}')
-        code, _, err = run(capsys, "prob", str(bad), "B1")
-        assert code == 2 and "error" in err
+        for text in [
+            '{"carrier":[1],"mass":{"0":"1/2"}}',
+            # masses are strings, carrier atoms integers
+            '{"carrier":[1],"mass":{"0":null}}',
+            '{"carrier":[1],"mass":{"0":["1/2"],"1":"1/2"}}',
+            '{"carrier":[1],"mass":{"1":{"n":"1"}}}',
+            '{"carrier":[true],"mass":{"1":"1"}}',
+        ]:
+            bad.write_text(text)
+            for argv in (("prob", str(bad), "B1"), ("galois-demo", str(bad))):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and out == "", (argv, text)
+                assert err.startswith("error:") and "Traceback" not in err, (argv, text)
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "prob", str(tmp_path / "nowhere.json"), "B1")
@@ -299,6 +309,20 @@ class TestCheck:
         assert "scope of size 17 exceeds enumeration cap 16" in out
         assert "Traceback" not in out + err
 
+    def test_taut_step_beyond_scope_cap_exits_2(self, capsys, tmp_path):
+        # seventeen letters: an undecided side condition at the default cap
+        # of 16, a tautology at --scope-cap 20
+        hypotheses = " & ".join(f"P(B{k}) = 1" for k in range(1, 18))
+        script = tmp_path / "wide.ppl-proof"
+        script.write_text(f"1. {hypotheses} -> P(B1) = 1 ; TAUT\n")
+        code, out, err = run(capsys, "check", str(script))
+        assert code == 2 and "rejected" in out
+        assert "side condition unsupported" in out
+        assert "scope of size 17 exceeds enumeration cap 16" in out
+        assert "Traceback" not in out + err
+        code, out, _ = run(capsys, "--scope-cap", "20", "check", str(script))
+        assert code == 0 and "accepted" in out
+
     def test_solver_flag_reaches_side_conditions(self, capsys, tmp_path):
         stub = tmp_path / "solver.py"
         stub.write_text("#!/usr/bin/env python3\nimport sys\nopen(sys.argv[1]).read()\nprint('unsat')\n")
@@ -340,6 +364,31 @@ class TestEmitSmt:
             capsys, "emit-smt", "P(B1 & !B2) = x1 & P(B1 & B2) = x2 -> P(B1) = x1 + x2"
         )
         assert code == 0 and "(set-logic QF_NRA)" in out
+
+
+class TestNonlinearScope:
+    """``P(B1 & ... & B16) < x1 * x1`` has two cells; the work is counted,
+    not timed: one point formula per cell."""
+
+    FORMULA = f"P({conj_text(16)}) < x1 * x1"
+
+    @pytest.fixture
+    def phi_calls(self, monkeypatch):
+        calls = []
+        phi = prop.phi
+        monkeypatch.setattr(prop, "phi", lambda A, U: calls.append(U) or phi(A, U))
+        return calls
+
+    def test_emit_smt_has_one_variable_per_cell(self, capsys, phi_calls):
+        code, out, _ = run(capsys, "emit-smt", self.FORMULA)
+        assert code == 0 and len(out.encode()) < 2048
+        assert out.count("declare-const xa_") == 2
+        assert len(phi_calls) <= 2
+
+    def test_valid_without_solver_is_unsupported(self, capsys, phi_calls):
+        code, _, err = run(capsys, "valid", self.FORMULA)
+        assert code == 3 and "no SMT solver configured" in err
+        assert len(phi_calls) <= 2
 
 
 class TestGaloisDemo:

@@ -121,17 +121,31 @@ class TestTranslate:
 
 class TestBuildQ:
     def test_tautology_constraints_shape(self):
+        # T does not split the scope: one cell, named after its lowest point
         q = ppl.build_Q([prop.TOP], frozenset({1}))
-        neg, pos = prop.parse("!B1"), prop.parse("B1")
-        x_neg, x_pos = rcof.FormulaVar(neg), rcof.FormulaVar(pos)
+        x_neg = rcof.FormulaVar(prop.parse("!B1"))
         expected = rcof.and_all(
             [
                 rcof.Le(rcof.ZERO, x_neg),
-                rcof.Le(x_neg, rcof.ONE),
-                rcof.Le(rcof.ZERO, x_pos),
-                rcof.Le(x_pos, rcof.ONE),
-                rcof.Eq(rcof.Add(x_neg, x_pos), rcof.ONE),
-                rcof.Eq(rcof.FormulaVar(prop.TOP), rcof.Add(x_neg, x_pos)),
+                rcof.Eq(x_neg, rcof.ONE),
+                rcof.Eq(rcof.FormulaVar(prop.TOP), x_neg),
+            ]
+        )
+        assert q == expected
+
+    def test_cells_are_named_after_their_lowest_point(self):
+        # B1 & B2 over {1, 2, 3}: the cell outside it starts at the empty
+        # subset, the cell inside it at {1, 2}
+        alpha = prop.parse("B1 & B2")
+        q = ppl.build_Q([alpha], frozenset({1, 2, 3}))
+        low = rcof.FormulaVar(prop.parse("!B1 & !B2 & !B3"))
+        high = rcof.FormulaVar(prop.parse("B1 & B2 & !B3"))
+        expected = rcof.and_all(
+            [
+                rcof.Le(rcof.ZERO, low),
+                rcof.Le(rcof.ZERO, high),
+                rcof.Eq(rcof.Add(low, high), rcof.ONE),
+                rcof.Eq(rcof.FormulaVar(alpha), high),
             ]
         )
         assert q == expected
@@ -144,8 +158,8 @@ class TestBuildQ:
     def test_two_formulas_over_two_atoms(self):
         q = ppl.build_Q([B1, B2], frozenset({1, 2}))
         parts = list(_conjuncts(q))
-        # 8 range constraints, one sum-to-one, two per-formula equations
-        assert len(parts) == 11
+        # 4 cells, each at least 0, one sum-to-one, two per-formula equations
+        assert len(parts) == 7
 
     def test_conjunct_variables_are_shared_point_variables(self):
         q = ppl.build_Q([B1], frozenset({1}))
@@ -155,9 +169,8 @@ class TestBuildQ:
     def test_no_formulas_gives_the_bare_polytope(self):
         # emit-smt 'P(T) = 1' has no probability formula besides T
         parts = list(_conjuncts(ppl.build_Q([], frozenset({1}))))
-        x_neg, x_pos = rcof.FormulaVar(prop.parse("!B1")), rcof.FormulaVar(B1)
-        assert len(parts) == 5
-        assert rcof.Eq(rcof.Add(x_neg, x_pos), rcof.ONE) in parts
+        x_neg = rcof.FormulaVar(prop.parse("!B1"))
+        assert parts == [rcof.Le(rcof.ZERO, x_neg), rcof.Eq(x_neg, rcof.ONE)]
 
 
 def _conjuncts(f):

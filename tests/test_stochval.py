@@ -269,7 +269,12 @@ class TestJson:
 
     def test_malformed_json_rejected(self):
         for bad in ["{", '{"carrier":[1]}', '{"carrier":[1],"mass":{"0":"x"}}',
-                    '{"carrier":[1],"mass":{"0":"1/2","1":"1/3"}}']:
+                    '{"carrier":[1],"mass":{"0":"1/2","1":"1/3"}}',
+                    # masses are strings, carrier atoms integers and not booleans
+                    '{"carrier":[1],"mass":{"0":null}}', '{"carrier":[1],"mass":{"0":["1"]}}',
+                    '{"carrier":[1],"mass":{"0":{"1":"1"}}}', '{"carrier":[1],"mass":{"0":1}}',
+                    '{"carrier":[1],"mass":{"0":1.0}}', '{"carrier":[1],"mass":{"0":true}}',
+                    '{"carrier":[true],"mass":{"1":"1"}}', '{"carrier":[false],"mass":{"0":"1"}}']:
             with pytest.raises(stochval.DistributionError):
                 stochval.dist_from_json(bad)
 

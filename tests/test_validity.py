@@ -7,6 +7,7 @@ from pplogic import calculus, ppl, prop, rcof, stochval, validity
 from pplogic.config import Config
 
 from .helpers import (
+    build_Q_by_points,
     corpus_ppl_formula,
     decide_by_field_formula,
     random_formula,
@@ -184,14 +185,17 @@ def _assert_refutes(decision, phi, scope):
         assert not ppl.ppl_sat(V, decision.witness, phi), ppl.to_text(phi)
 
 
+def _reference_formulas() -> list:
+    rng = random.Random(59)
+    formulas = [_random_ppl(rng, 2) for _ in range(300)]
+    return formulas + [corpus_ppl_formula(rng, rng.randint(1, 3)) for _ in range(300)]
+
+
 def test_decide_validity_matches_field_formula_reference():
     # the reference is the encoding translate replaced: P(T) a variable, the
     # <= / >= sugar as stored, T among the formulas of the point-form Q
-    rng = random.Random(59)
-    formulas = [_random_ppl(rng, 2) for _ in range(300)]
-    formulas += [corpus_ppl_formula(rng, rng.randint(1, 3)) for _ in range(300)]
     statuses = []
-    for phi in formulas:
+    for phi in _reference_formulas():
         reference, reference_scope = decide_by_field_formula(phi)
         decision = validity.decide_validity(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
@@ -203,6 +207,23 @@ def test_decide_validity_matches_field_formula_reference():
             assert prop.to_text(prop.TOP) not in decision.witness.probs
         statuses.append(decision.status)
     # unsupported: a nonlinear bound and no external solver, on both sides
+    assert statuses.count(rcof.VALID) >= 50 and statuses.count(rcof.INVALID) >= 50
+    assert statuses.count(rcof.UNSUPPORTED) >= 10
+
+
+def test_cell_field_formula_matches_the_point_form():
+    # Q over the cells and Q over the 2^n point formulas, each decided as a
+    # field sentence by rcof.decide; a cell witness names point formulas,
+    # so it reads back as a refuting valuation too
+    statuses = []
+    for phi in _reference_formulas():
+        alphas, scope = validity.probability_formulas(phi), validity.ppl_scope(phi)
+        psi = ppl.translate(phi)
+        decision = rcof.decide(rcof.Implies(ppl.build_Q(alphas, scope), psi))
+        reference = rcof.decide(rcof.Implies(build_Q_by_points(alphas, scope), psi))
+        assert decision.status == reference.status, ppl.to_text(phi)
+        _assert_refutes(decision, phi, scope)
+        statuses.append(decision.status)
     assert statuses.count(rcof.VALID) >= 50 and statuses.count(rcof.INVALID) >= 50
     assert statuses.count(rcof.UNSUPPORTED) >= 10
 
@@ -240,7 +261,7 @@ def test_check_rr_matches_field_formula_reference():
             )
         everything = [a for a, _, _ in hypotheses] + [conclusion[0]]
         scope = frozenset().union(*(prop.atoms_of(a) for a in everything))
-        side = [ppl.build_Q(everything, scope)]
+        side = [build_Q_by_points(everything, scope)]
         side += [rel_ctors[rel](rcof.FormulaVar(a), t) for a, rel, t in hypotheses]
         a, rel, t = conclusion
         reference = rcof.decide(
