@@ -25,7 +25,14 @@ Families:
   ``P(B1 & ... & Bn) < x1 * x1`` at n = 8, 12, 14;
 * ``taut``: ``pplogic check`` on a one-step script
   ``1. P(B1) = 1 & ... & P(Bk) = 1 -> P(B1) = 1 ; TAUT`` at k = 12, 16
-  (accepted, exit 0).
+  (accepted, exit 0);
+* ``wide-lp``: ``pplogic valid 'P(B1) = 1/2 & ... & P(Bk) = 1/2 ->
+  P(B1 & ... & Bk) < 1/2^k'`` at k = 6, 8, 10 (invalid, exit 1): one
+  simplex call over 2^k cells and k + 2 rows;
+* ``disjunctive``: ``pplogic valid '(P(B1) = 1/2 | P(B1) = 1/3) & ... &
+  (P(Bk) = 1/2 | P(Bk) = 1/3) -> P(B1) < 1'`` at k = 4, 6, 8 (valid,
+  exit 0): 2^k clauses, each its own simplex call over 2^k cells.  At
+  k = 8 one run takes minutes.
 
 Each case runs three times with pplogic's memo tables emptied first, and
 reports the median wall-clock seconds, the exit code and the bytes
@@ -121,6 +128,15 @@ def cases():
         hypotheses = " & ".join(f"P(B{i}) = 1" for i in range(1, k + 1))
         yield "taut", k, lambda hypotheses=hypotheses: run_script(
             f"1. {hypotheses} -> P(B1) = 1 ; TAUT\n")
+    for k in (6, 8, 10):
+        hypotheses = " & ".join(f"P(B{i}) = 1/2" for i in range(1, k + 1))
+        conj = " & ".join(f"B{i}" for i in range(1, k + 1))
+        formula = f"{hypotheses} -> P({conj}) < 1/{2 ** k}"
+        yield "wide-lp", k, lambda formula=formula: run_cli(["valid", formula])
+    for k in (4, 6, 8):
+        hypotheses = " & ".join(f"(P(B{i}) = 1/2 | P(B{i}) = 1/3)" for i in range(1, k + 1))
+        yield "disjunctive", k, lambda hypotheses=hypotheses: run_cli(
+            ["valid", f"{hypotheses} -> P(B1) < 1"])
 
 
 def main() -> int:

@@ -74,14 +74,12 @@ def _load_valuation(path: str) -> stochval.StochasticValuation:
 
 
 def _witness_payload(witness: rcof.Assignment, scope) -> dict:
-    payload = {
+    V = validity.valuation_from_assignment(witness, scope)
+    return {
         "numeric": {str(k): str(v) for k, v in sorted(witness.numeric.items())},
         "probability": {k: str(v) for k, v in sorted(witness.probs.items())},
+        "distribution": json.loads(stochval.dist_to_json(V.joint)),
     }
-    if scope:
-        V = validity.valuation_from_assignment(witness, scope)
-        payload["distribution"] = json.loads(stochval.dist_to_json(V.joint))
-    return payload
 
 
 def _cmd_prob(args) -> int:

@@ -7,9 +7,15 @@ formula, keyed by its canonical text).  Formulas combine ``=``, ``<`` and
 ``<=`` atoms with the usual connectives; every decision treats its input
 as the universal closure of the given matrix.
 
-The linear decider linearizes the atoms of the matrix once, negates it,
-converts to disjunctive normal form over linear atoms, and refutes each
-disjunct, together with any shared constraint rows, by an exact general
+One table states what each operator means: its SMT-LIB operator, its
+exact Python operation and, for an atom, its linear relation.  The one
+evaluator, the one SMT-LIB writer and the linearizer read it and reach a
+node's children through the dataclasses' ``__match_args__``.
+
+The linear decider linearizes the atoms of the matrix once, reads the
+clauses of the disjunctive normal form of its negation off the matrix by
+polarity (no negated copy is built), and refutes each disjunct, together
+with any shared constraint rows, by an exact general
 simplex with bounds over rationals; strict bounds are shifted by a symbolic
 infinitesimal that is fixed to a concrete rational at the end.  A formula
 variable may be defined as a sum of cell masses rather than stand alone.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import shlex
 import subprocess
@@ -30,7 +37,8 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import prop
 from .config import Config
@@ -175,6 +183,38 @@ def and_all(formulas: Iterable[Formula]) -> Formula:
     return _fold_balanced(formulas, And)
 
 
+# -- the operator table ---------------------------------------------------------
+
+REL_EQ, REL_LE, REL_LT = "eq", "le", "lt"
+
+
+class _Op(NamedTuple):
+    smt: str  # SMT-LIB operator
+    python: Callable  # exact operation on the values of the children
+    rel: Optional[str] = None  # LinearAtom relation of an atom
+
+
+_OPS = {
+    Neg: _Op("-", operator.neg),
+    Add: _Op("+", operator.add),
+    Mul: _Op("*", operator.mul),
+    Eq: _Op("=", operator.eq, REL_EQ),
+    Lt: _Op("<", operator.lt, REL_LT),
+    Le: _Op("<=", operator.le, REL_LE),
+    Not: _Op("not", operator.not_),
+    And: _Op("and", operator.and_),
+    Or: _Op("or", operator.or_),
+    Implies: _Op("=>", operator.le),  # on truth values a -> b is a <= b
+}
+
+
+def _children(node) -> list:
+    """The children of a node in field order.  The walkers unpack a map
+    over them: a comprehension, or a bare map handed to ``str.join``, would
+    double the stack spent per level of nesting."""
+    return [getattr(node, name) for name in node.__match_args__]
+
+
 # -- assignments and evaluation -------------------------------------------------
 
 @dataclass
@@ -202,33 +242,25 @@ class Assignment:
         return Assignment(dict(self.numeric), probs)
 
 
-def eval_term(t: Term, rho: Assignment) -> Fraction:
-    """Exact rational denotation of ``t`` under ``rho``."""
+def eval_term(t: Union[Term, Formula], rho: Assignment):
+    """Exact denotation under ``rho``: a Fraction for a term, a bool for a
+    formula.  ``&``, ``|`` and ``->`` leave out a right side that their left
+    side decides."""
     if isinstance(t, Const):
         return t.value
     if isinstance(t, (Var, FormulaVar)):
         return rho.value_of(t)
-    if isinstance(t, Neg):
-        return -eval_term(t.operand, rho)
-    if isinstance(t, Add):
-        return eval_term(t.left, rho) + eval_term(t.right, rho)
-    return eval_term(t.left, rho) * eval_term(t.right, rho)
+    op = _OPS[type(t)].python
+    left, *right = _children(t)
+    value = eval_term(left, rho)
+    if not right:
+        return op(value)
+    if isinstance(t, (And, Or, Implies)) and op(value, False) == op(value, True):
+        return op(value, False)
+    return op(value, eval_term(right[0], rho))
 
 
-def eval_formula(f: Formula, rho: Assignment) -> bool:
-    if isinstance(f, Eq):
-        return eval_term(f.left, rho) == eval_term(f.right, rho)
-    if isinstance(f, Lt):
-        return eval_term(f.left, rho) < eval_term(f.right, rho)
-    if isinstance(f, Le):
-        return eval_term(f.left, rho) <= eval_term(f.right, rho)
-    if isinstance(f, Not):
-        return not eval_formula(f.operand, rho)
-    if isinstance(f, And):
-        return eval_formula(f.left, rho) and eval_formula(f.right, rho)
-    if isinstance(f, Or):
-        return eval_formula(f.left, rho) or eval_formula(f.right, rho)
-    return (not eval_formula(f.antecedent, rho)) or eval_formula(f.consequent, rho)
+eval_formula = eval_term
 
 
 # -- variable table -------------------------------------------------------------
@@ -325,9 +357,6 @@ def classify(f: Formula) -> str:
 
 # -- linear atoms -----------------------------------------------------------------
 
-REL_EQ, REL_LE, REL_LT = "eq", "le", "lt"
-
-
 @dataclass(frozen=True)
 class LinearAtom:
     """Normalized constraint  sum(coeff_i * v_i) + const  REL  0.
@@ -377,8 +406,7 @@ def _atom_to_linear(atom, table: VarTable) -> LinearAtom:
     coeffs = dict(cl)
     for k, v in cr.items():
         coeffs[k] = coeffs.get(k, 0) - v
-    rel = {Eq: REL_EQ, Lt: REL_LT, Le: REL_LE}[type(atom)]
-    return LinearAtom.make(coeffs, kl - kr, rel)
+    return LinearAtom.make(coeffs, kl - kr, _OPS[type(atom)].rel)
 
 
 def _linear_matrix(f: Formula, table: VarTable) -> Formula:
@@ -386,11 +414,7 @@ def _linear_matrix(f: Formula, table: VarTable) -> Formula:
     that also detects nonlinearity (NonlinearTermError)."""
     if isinstance(f, _ATOMS):
         return _atom_to_linear(f, table)
-    if isinstance(f, Not):
-        return Not(_linear_matrix(f.operand, table))
-    if isinstance(f, Implies):
-        return Implies(_linear_matrix(f.antecedent, table), _linear_matrix(f.consequent, table))
-    return type(f)(_linear_matrix(f.left, table), _linear_matrix(f.right, table))
+    return type(f)(*map(_linear_matrix, _children(f), repeat(table)))
 
 
 # -- feasibility by exact general simplex ---------------------------------------------
@@ -529,45 +553,35 @@ def _pivot_and_update(rows: dict, value: list, i: int, j: int, target: tuple) ->
     rows[j] = solved
 
 
-# -- negation and DNF --------------------------------------------------------------
-# on linearized matrices:  not e = 0  is  e < 0 or -e < 0,  not e <= 0  is
-# -e < 0,  and  not e < 0  is  -e <= 0
+# -- DNF by polarity --------------------------------------------------------------
 
-def _negate(f: Formula) -> Formula:
-    if isinstance(f, LinearAtom):
-        flipped = tuple((k, -v) for k, v in f.coeffs)
-        if f.rel == REL_EQ:
-            return Or(LinearAtom(f.coeffs, f.const, REL_LT), LinearAtom(flipped, -f.const, REL_LT))
-        return LinearAtom(flipped, -f.const, REL_LT if f.rel == REL_LE else REL_LE)
-    if isinstance(f, Not):
-        return f.operand
-    if isinstance(f, And):
-        return Or(_negate(f.left), _negate(f.right))
-    if isinstance(f, Or):
-        return And(_negate(f.left), _negate(f.right))
-    return And(f.antecedent, _negate(f.consequent))
-
-
-def _dnf_clauses(f: Formula, cap: int) -> list:
+def _dnf_clauses(f: Formula, cap: int, negated: bool = False) -> list:
     """Clauses (lists of LinearAtoms) of the disjunctive normal form of a
-    linearized matrix.  An atom without variables is decided on the spot: a
-    false one has no clause and a true one the empty clause."""
+    linearized matrix, or of its negation when ``negated``.  Negation is
+    read on the way down: ``!`` flips it, ``a -> b`` is ``!a | b``, and a
+    negated ``&`` is an ``|`` and vice versa.  A negated atom is rewritten
+    over LinearAtoms: not e = 0 is e < 0 or -e < 0, not e <= 0 is -e < 0,
+    and not e < 0 is -e <= 0.  An atom without variables is decided on the
+    spot: a false one has no clause and a true one the empty clause."""
+    while isinstance(f, Not):
+        f, negated = f.operand, not negated
     if isinstance(f, LinearAtom):
+        if negated:
+            flipped = tuple((k, -v) for k, v in f.coeffs)
+            if f.rel == REL_EQ:
+                both = Or(LinearAtom(f.coeffs, f.const, REL_LT), LinearAtom(flipped, -f.const, REL_LT))
+                return _dnf_clauses(both, cap)
+            f = LinearAtom(flipped, -f.const, REL_LT if f.rel == REL_LE else REL_LE)
         if not f.coeffs:
             return [[]] if f.holds_on_constants() else []
         return [[f]]
-    if isinstance(f, Not):
-        return _dnf_clauses(_negate(f.operand), cap)
-    if isinstance(f, Implies):
-        return _dnf_clauses(Or(_negate(f.antecedent), f.consequent), cap)
-    if isinstance(f, Or):
-        left = _dnf_clauses(f.left, cap)
-        right = _dnf_clauses(f.right, cap)
+    first, second = _children(f)
+    left = _dnf_clauses(first, cap, negated != isinstance(f, Implies))
+    right = _dnf_clauses(second, cap, negated)
+    if isinstance(f, And) == negated:  # a disjunction under this polarity
         if len(left) + len(right) > cap:
             raise ClauseCapError(f"more than {cap} clauses in the negated matrix")
         return left + right
-    left = _dnf_clauses(f.left, cap)
-    right = _dnf_clauses(f.right, cap)
     if len(left) * len(right) > cap:
         raise ClauseCapError(f"more than {cap} clauses in the negated matrix")
     return [lc + rc for lc in left for rc in right]
@@ -590,10 +604,6 @@ class Decision:
     witness: Optional[Assignment] = None
     reason: Optional[str] = None
 
-    @property
-    def is_valid(self) -> bool:
-        return self.status == VALID
-
 
 def decide_universal_linear(
     matrix: Formula,
@@ -613,7 +623,7 @@ def decide_universal_linear(
     table = VarTable() if table is None else table
     linear = _linear_matrix(matrix, table)
     try:
-        clauses = _dnf_clauses(_negate(linear), clause_cap)
+        clauses = _dnf_clauses(linear, clause_cap, negated=True)
     except ClauseCapError as e:
         return Decision(UNSUPPORTED, reason=str(e))
     rows = list(rows)
@@ -636,35 +646,17 @@ def _smt_name(v) -> str:
     return f"xa_{digest}"
 
 
-def _smt_term(t: Term, seen: set) -> str:
-    if isinstance(t, Const):
-        num, den = t.value.numerator, t.value.denominator
+def _smt(node: Union[Term, Formula], seen: set) -> str:
+    """SMT-LIB text of a term or formula; adds each variable met to ``seen``."""
+    if isinstance(node, Const):
+        num, den = node.value.numerator, node.value.denominator
         body = str(num) if den == 1 else f"(/ {num} {den})"
         return f"(- {body.replace('-', '', 1)})" if num < 0 else body
-    if isinstance(t, (Var, FormulaVar)):
-        seen.add(t)
-        return _smt_name(t)
-    if isinstance(t, Neg):
-        return f"(- {_smt_term(t.operand, seen)})"
-    if isinstance(t, Add):
-        return f"(+ {_smt_term(t.left, seen)} {_smt_term(t.right, seen)})"
-    return f"(* {_smt_term(t.left, seen)} {_smt_term(t.right, seen)})"
-
-
-def _smt_formula(f: Formula, seen: set) -> str:
-    if isinstance(f, Eq):
-        return f"(= {_smt_term(f.left, seen)} {_smt_term(f.right, seen)})"
-    if isinstance(f, Lt):
-        return f"(< {_smt_term(f.left, seen)} {_smt_term(f.right, seen)})"
-    if isinstance(f, Le):
-        return f"(<= {_smt_term(f.left, seen)} {_smt_term(f.right, seen)})"
-    if isinstance(f, Not):
-        return f"(not {_smt_formula(f.operand, seen)})"
-    if isinstance(f, And):
-        return f"(and {_smt_formula(f.left, seen)} {_smt_formula(f.right, seen)})"
-    if isinstance(f, Or):
-        return f"(or {_smt_formula(f.left, seen)} {_smt_formula(f.right, seen)})"
-    return f"(=> {_smt_formula(f.antecedent, seen)} {_smt_formula(f.consequent, seen)})"
+    if isinstance(node, (Var, FormulaVar)):
+        seen.add(node)
+        return _smt_name(node)
+    args = " ".join([*map(_smt, _children(node), repeat(seen))])
+    return f"({_OPS[type(node)].smt} {args})"
 
 
 def emit_smtlib(matrix: Formula) -> str:
@@ -675,7 +667,7 @@ def emit_smtlib(matrix: Formula) -> str:
     probability variable back to its formula.
     """
     seen: set = set()
-    assertion = f"(assert (not {_smt_formula(matrix, seen)}))"
+    assertion = f"(assert (not {_smt(matrix, seen)}))"
     numeric = sorted(v.index for v in seen if isinstance(v, Var))
     formula_vars = sorted((v for v in seen if isinstance(v, FormulaVar)), key=lambda v: v.key)
     lines = ["; validity of a universal sentence via unsat of its negation"]

@@ -15,6 +15,7 @@ atom), which doubles as the canonical JSON serialization order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -73,11 +74,6 @@ class FinDist:
     def from_masks(scope: Scope, masses: Mapping[int, Fraction]) -> "FinDist":
         items = tuple(sorted((m, Fraction(p)) for m, p in masses.items() if Fraction(p) != 0))
         return FinDist(frozenset(scope), items)
-
-    @staticmethod
-    def from_subsets(scope: Scope, masses: Mapping[frozenset, Fraction]) -> "FinDist":
-        scope = frozenset(scope)
-        return FinDist.from_masks(scope, {prop.mask_of(scope, U): p for U, p in masses.items()})
 
     @staticmethod
     def uniform(scope: Scope) -> "FinDist":
@@ -407,12 +403,15 @@ def dist_from_json(text: str) -> FinDist:
     for key, val in raw["mass"].items():
         if type(val) is not str:
             raise DistributionError(f"bad mass entry {key!r}: {json.dumps(val)} is not a string")
+        if not re.fullmatch("[0-9]+", key):
+            raise DistributionError(f"bad mass entry {key!r}: a key is a mask in the digits 0-9")
+        m = int(key)
+        if m in masses:
+            raise DistributionError(f"bad mass entry {key!r}: mask {m} already has a mass")
         try:
-            m = int(key)
-            p = Fraction(val)
+            masses[m] = Fraction(val)
         except (ValueError, ZeroDivisionError) as e:
             raise DistributionError(f"bad mass entry {key!r}: {e}") from None
-        masses[m] = p
     return FinDist.from_masks(frozenset(carrier), masses)
 
 

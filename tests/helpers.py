@@ -453,3 +453,117 @@ def taut_by_rows(phi: ppl.PplFormula, max_atoms: int = prop.DEFAULT_SCOPE_CAP) -
         return (not eval_under(f.antecedent, row)) or eval_under(f.consequent, row)
 
     return all(eval_under(phi, row) for row in range(1 << len(letters)))
+
+
+# -- the field-formula walkers the operator table replaced ---------------------
+# References for rcof's evaluator, SMT-LIB writer and clause builder: one
+# if-chain per walker, and a negated copy of the matrix for the clauses.
+
+def eval_term_by_cases(t: rcof.Term, rho: rcof.Assignment) -> Fraction:
+    """Reference for ``rcof.eval_term``."""
+    if isinstance(t, rcof.Const):
+        return t.value
+    if isinstance(t, (rcof.Var, rcof.FormulaVar)):
+        return rho.value_of(t)
+    if isinstance(t, rcof.Neg):
+        return -eval_term_by_cases(t.operand, rho)
+    if isinstance(t, rcof.Add):
+        return eval_term_by_cases(t.left, rho) + eval_term_by_cases(t.right, rho)
+    return eval_term_by_cases(t.left, rho) * eval_term_by_cases(t.right, rho)
+
+
+def eval_formula_by_cases(f: rcof.Formula, rho: rcof.Assignment) -> bool:
+    """Reference for ``rcof.eval_formula``."""
+    if isinstance(f, rcof.Eq):
+        return eval_term_by_cases(f.left, rho) == eval_term_by_cases(f.right, rho)
+    if isinstance(f, rcof.Lt):
+        return eval_term_by_cases(f.left, rho) < eval_term_by_cases(f.right, rho)
+    if isinstance(f, rcof.Le):
+        return eval_term_by_cases(f.left, rho) <= eval_term_by_cases(f.right, rho)
+    if isinstance(f, rcof.Not):
+        return not eval_formula_by_cases(f.operand, rho)
+    if isinstance(f, rcof.And):
+        return eval_formula_by_cases(f.left, rho) and eval_formula_by_cases(f.right, rho)
+    if isinstance(f, rcof.Or):
+        return eval_formula_by_cases(f.left, rho) or eval_formula_by_cases(f.right, rho)
+    return (not eval_formula_by_cases(f.antecedent, rho)) or eval_formula_by_cases(f.consequent, rho)
+
+
+def smt_term_by_cases(t: rcof.Term, seen: set) -> str:
+    """Reference for ``rcof._smt`` on terms."""
+    if isinstance(t, rcof.Const):
+        num, den = t.value.numerator, t.value.denominator
+        body = str(num) if den == 1 else f"(/ {num} {den})"
+        return f"(- {body.replace('-', '', 1)})" if num < 0 else body
+    if isinstance(t, (rcof.Var, rcof.FormulaVar)):
+        seen.add(t)
+        return rcof._smt_name(t)
+    if isinstance(t, rcof.Neg):
+        return f"(- {smt_term_by_cases(t.operand, seen)})"
+    if isinstance(t, rcof.Add):
+        return f"(+ {smt_term_by_cases(t.left, seen)} {smt_term_by_cases(t.right, seen)})"
+    return f"(* {smt_term_by_cases(t.left, seen)} {smt_term_by_cases(t.right, seen)})"
+
+
+def smt_formula_by_cases(f: rcof.Formula, seen: set) -> str:
+    """Reference for ``rcof._smt`` on formulas."""
+    if isinstance(f, rcof.Eq):
+        return f"(= {smt_term_by_cases(f.left, seen)} {smt_term_by_cases(f.right, seen)})"
+    if isinstance(f, rcof.Lt):
+        return f"(< {smt_term_by_cases(f.left, seen)} {smt_term_by_cases(f.right, seen)})"
+    if isinstance(f, rcof.Le):
+        return f"(<= {smt_term_by_cases(f.left, seen)} {smt_term_by_cases(f.right, seen)})"
+    if isinstance(f, rcof.Not):
+        return f"(not {smt_formula_by_cases(f.operand, seen)})"
+    if isinstance(f, rcof.And):
+        return f"(and {smt_formula_by_cases(f.left, seen)} {smt_formula_by_cases(f.right, seen)})"
+    if isinstance(f, rcof.Or):
+        return f"(or {smt_formula_by_cases(f.left, seen)} {smt_formula_by_cases(f.right, seen)})"
+    return f"(=> {smt_formula_by_cases(f.antecedent, seen)} {smt_formula_by_cases(f.consequent, seen)})"
+
+
+# on linearized matrices:  not e = 0  is  e < 0 or -e < 0,  not e <= 0  is
+# -e < 0,  and  not e < 0  is  -e <= 0
+
+def negated_copy(f: rcof.Formula) -> rcof.Formula:
+    """The negation of a linearized matrix pushed one level down, the copy
+    ``rcof._dnf_clauses`` now reads by polarity instead."""
+    if isinstance(f, rcof.LinearAtom):
+        flipped = tuple((k, -v) for k, v in f.coeffs)
+        if f.rel == rcof.REL_EQ:
+            return rcof.Or(
+                rcof.LinearAtom(f.coeffs, f.const, rcof.REL_LT),
+                rcof.LinearAtom(flipped, -f.const, rcof.REL_LT),
+            )
+        return rcof.LinearAtom(flipped, -f.const, rcof.REL_LT if f.rel == rcof.REL_LE else rcof.REL_LE)
+    if isinstance(f, rcof.Not):
+        return f.operand
+    if isinstance(f, rcof.And):
+        return rcof.Or(negated_copy(f.left), negated_copy(f.right))
+    if isinstance(f, rcof.Or):
+        return rcof.And(negated_copy(f.left), negated_copy(f.right))
+    return rcof.And(f.antecedent, negated_copy(f.consequent))
+
+
+def dnf_clauses_by_copy(f: rcof.Formula, cap: int) -> list:
+    """Reference for ``rcof._dnf_clauses``: a negation is handed on as a
+    ``negated_copy`` of its operand, an implication as ``!a | b``."""
+    if isinstance(f, rcof.LinearAtom):
+        if not f.coeffs:
+            return [[]] if f.holds_on_constants() else []
+        return [[f]]
+    if isinstance(f, rcof.Not):
+        return dnf_clauses_by_copy(negated_copy(f.operand), cap)
+    if isinstance(f, rcof.Implies):
+        return dnf_clauses_by_copy(rcof.Or(negated_copy(f.antecedent), f.consequent), cap)
+    if isinstance(f, rcof.Or):
+        left = dnf_clauses_by_copy(f.left, cap)
+        right = dnf_clauses_by_copy(f.right, cap)
+        if len(left) + len(right) > cap:
+            raise rcof.ClauseCapError(f"more than {cap} clauses in the negated matrix")
+        return left + right
+    left = dnf_clauses_by_copy(f.left, cap)
+    right = dnf_clauses_by_copy(f.right, cap)
+    if len(left) * len(right) > cap:
+        raise rcof.ClauseCapError(f"more than {cap} clauses in the negated matrix")
+    return [lc + rc for lc in left for rc in right]

@@ -60,6 +60,11 @@ class TestProb:
             '{"carrier":[1],"mass":{"0":["1/2"],"1":"1/2"}}',
             '{"carrier":[1],"mass":{"1":{"n":"1"}}}',
             '{"carrier":[true],"mass":{"1":"1"}}',
+            # mask keys are ASCII digits, one key per mask
+            '{"carrier":[1],"mass":{"1":"1","01":"1"}}',
+            '{"carrier":[1],"mass":{" 1":"1"}}',
+            '{"carrier":[1],"mass":{"\\u0661":"1"}}',
+            '{"carrier":[1,2,3,4],"mass":{"1_0":"1"}}',
         ]:
             bad.write_text(text)
             for argv in (("prob", str(bad), "B1"), ("galois-demo", str(bad))):

@@ -6,10 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from pplogic import ppl, pqentail, prop, rcof
+from pplogic import ppl, pqentail, prop, rcof, validity
 from pplogic.config import Config
 
-from .helpers import pairing_feasible, semantic_class_pool
+from .helpers import (
+    dnf_clauses_by_copy,
+    eval_formula_by_cases,
+    negated_copy,
+    pairing_feasible,
+    random_linear_sentence,
+    semantic_class_pool,
+    smt_formula_by_cases,
+)
+from .test_validity import _reference_formulas
 
 B1 = prop.Atom(1)
 x0, x1, x2 = rcof.Var(0), rcof.Var(1), rcof.Var(2)
@@ -490,3 +499,76 @@ def test_integer_systems_that_pivot_return_fractions(monkeypatch):
             pivoted += 1
             assert all(type(v) is F for v in point.values())
     assert pivoted >= 20
+
+
+# -- the operator table against the walkers it replaced -------------------------
+
+def _walker_sentences() -> list:
+    """(field sentence, its variable table) pairs: seeded random linear
+    sentences, some under a negation, and the translations of the reference
+    probability formulas over their cells, nonlinear ones included."""
+    rng = random.Random(71)
+    out = []
+    for _ in range(150):
+        for matrix in (random_linear_sentence(rng, 3), random_linear_matrix(rng, 3)):
+            out.append((rcof.Not(matrix) if rng.random() < 0.3 else matrix, rcof.VarTable()))
+    for phi in _reference_formulas():
+        alphas, scope = validity.probability_formulas(phi), validity.ppl_scope(phi)
+        _, sums, points = ppl.distribution_rows(alphas, scope)
+        out.append((ppl.translate(phi), rcof.VarTable(sums, scope, points)))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except (rcof.ClauseCapError, rcof.UnboundVariableError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_clauses_by_polarity_match_the_negated_copy():
+    # same atoms in the same order, so the same memo keys and witnesses, and
+    # the clause cap trips at the same caps
+    caps = (1, 2, 4, 8, Config.clause_cap)
+    linear_count = 0
+    for matrix, table in _walker_sentences():
+        try:
+            linear = rcof._linear_matrix(matrix, table)
+        except rcof.NonlinearTermError:
+            continue
+        linear_count += 1
+        for cap in caps:
+            assert _outcome(rcof._dnf_clauses, linear, cap, True) == _outcome(
+                dnf_clauses_by_copy, negated_copy(linear), cap
+            )
+            assert _outcome(rcof._dnf_clauses, linear, cap) == _outcome(dnf_clauses_by_copy, linear, cap)
+    assert linear_count >= 700
+
+
+def test_smtlib_matches_the_case_by_case_writer(monkeypatch):
+    sentences = []
+    for matrix, table in _walker_sentences():
+        sentences.append(matrix)
+        if table.scope:  # the field sentence Q -> psi of a probability formula
+            sentences.append(rcof.Implies(ppl.build_Q(list(table.sums), table.scope), matrix))
+    written = [rcof.emit_smtlib(f) for f in sentences]
+    monkeypatch.setattr(rcof, "_smt", smt_formula_by_cases)
+    assert written == [rcof.emit_smtlib(f) for f in sentences]
+
+
+def test_evaluation_matches_the_case_by_case_evaluator():
+    # assignments bind some formula variables only: an unbound variable
+    # raises in both, or in neither when a connective's left side decides
+    rng = random.Random(73)
+    for matrix, table in _walker_sentences():
+        keys = [prop.to_text(a) for a in table.sums] + [
+            prop.to_text(prop.phi(table.scope, prop.subset_of_mask(table.scope, m))) for m in table.points
+        ]
+        for _ in range(4):
+            rho = rcof.Assignment(
+                numeric={i: F(rng.randint(-24, 24), 8) for i in range(3)},
+                probs={k: F(rng.randint(0, 8), 8) for k in keys if rng.random() < 0.8},
+            )
+            got = _outcome(rcof.eval_formula, matrix, rho)
+            assert got == _outcome(eval_formula_by_cases, matrix, rho)
+            assert type(got[1]) is bool or got[0] != "value"

@@ -274,7 +274,10 @@ class TestJson:
                     '{"carrier":[1],"mass":{"0":null}}', '{"carrier":[1],"mass":{"0":["1"]}}',
                     '{"carrier":[1],"mass":{"0":{"1":"1"}}}', '{"carrier":[1],"mass":{"0":1}}',
                     '{"carrier":[1],"mass":{"0":1.0}}', '{"carrier":[1],"mass":{"0":true}}',
-                    '{"carrier":[true],"mass":{"1":"1"}}', '{"carrier":[false],"mass":{"0":"1"}}']:
+                    '{"carrier":[true],"mass":{"1":"1"}}', '{"carrier":[false],"mass":{"0":"1"}}',
+                    # a key is a mask in ASCII digits, and no mask has two keys
+                    '{"carrier":[1],"mass":{"1":"1","01":"1"}}', '{"carrier":[1],"mass":{" 1":"1"}}',
+                    '{"carrier":[1],"mass":{"\\u0661":"1"}}', '{"carrier":[1,2,3,4],"mass":{"1_0":"1"}}']:
             with pytest.raises(stochval.DistributionError):
                 stochval.dist_from_json(bad)
 
