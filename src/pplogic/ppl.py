@@ -157,32 +157,45 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
 
     A cell is a nonempty class of subsets of the scope that every formula
     treats alike: all its subsets are models of a formula or none is.  The
-    cells come from partition refinement of the formulas' truth tables
-    (start from all subsets, split every cell by each distinct table), so
-    there are at most min(2^k, 2^n) of them for k formulas over n atoms;
-    the refinement holds each cell as a 2^n-bit integer.  The probabilities
-    of the formulas depend only on the cells' masses, and any masses on the
-    cells come from a distribution on the scope, such as the one that puts
-    each cell's mass on its lowest subset.
+    probabilities of the formulas depend only on the cells' masses, and any
+    masses on the cells come from a distribution on the scope, such as the
+    one that puts each cell's mass on its lowest subset.  The formulas
+    enter only through their truth tables over the scope, and ``cell_rows``
+    builds the rows from those.
 
-    Variable c is the mass y_c of the c-th cell in ascending order of its
-    lowest subset's bitmask; the rows, a fresh list the caller may extend,
-    say y_c >= 0 and sum_c y_c = 1.  The second result maps each formula to
-    the coefficients {c: 1} of the cells inside its models, whose sum is its
-    probability.  The third lists each cell's representative, the bitmask of
-    its lowest subset.
+    The first result is the rows of ``cell_rows``.  The second maps each
+    formula to the coefficients {c: 1} of the cells inside its models, whose
+    sum is its probability.  The third lists each cell's representative, the
+    bitmask of its lowest subset.
     """
     scope = frozenset(scope)
     for a in alphas:
         if not prop.atoms_of(a) <= scope:
             raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
     prop._check_enumerable(scope, cap)
-    masks = {a: prop._models_mask(a, scope) for a in alphas}
-    cells = [(1 << (1 << len(scope))) - 1]
-    for m in dict.fromkeys(masks.values()):
+    masks = [prop._models_mask(a, scope) for a in alphas]
+    rows, sums, points = cell_rows(masks, len(scope))
+    return rows, dict(zip(alphas, sums)), points
+
+
+def cell_rows(masks, n: int):
+    """The distribution polytope over the cells of truth tables ``masks``
+    over a scope of n atoms, the mask-level half of ``distribution_rows``.
+
+    The cells come from partition refinement of the tables (start from all
+    2^n subsets, split every cell by each distinct table), so there are at
+    most min(2^k, 2^n) of them for k tables; the refinement holds each cell
+    as a 2^n-bit integer.  Variable c is the mass y_c of the c-th cell in
+    ascending order of its lowest subset's bitmask; the rows, a fresh list
+    the caller may extend, say y_c >= 0 and sum_c y_c = 1.  The second
+    result lists, for each table in turn, the coefficients {c: 1} of the
+    cells inside it; the third lists each cell's lowest subset.
+    """
+    cells = [(1 << (1 << n)) - 1]
+    for m in dict.fromkeys(masks):
         cells = [part for c in cells for part in (c & m, c & ~m) if part]
     points = sorted((c & -c).bit_length() - 1 for c in cells)
-    sums = {a: {c: 1 for c, point in enumerate(points) if m >> point & 1} for a, m in masks.items()}
+    sums = [{c: 1 for c, point in enumerate(points) if m >> point & 1} for m in masks]
     return list(_polytope_rows(len(points))), sums, points
 
 

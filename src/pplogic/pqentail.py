@@ -16,18 +16,29 @@ form may take the whole set as its finite witness subset: the conjunction
 of more hypotheses entails the conjunction of fewer, so probability
 monotonicity shrinks the constraint region as the subset grows, and any
 witnessing subset implies the full set witnesses too.
+
+A threshold system depends on the formulas only through their truth tables
+over A: two hypothesis lists whose tables agree pose the same system.  So
+the refutation is memoized on (A, the hypotheses' tables, the conclusion's
+table, p, q) in one bounded memo of 4,096 systems, and each distinct system
+is encoded and decided once while it stays there.  Thresholds and the scope
+cap are checked on every call, before the memo is asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 from . import ppl, prop, rcof, stochval
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Distinct threshold systems whose refutations are kept.
+_SYSTEMS = 4096
 
 
 class InvalidThresholds(ValueError):
@@ -73,7 +84,8 @@ def find_refuting_valuation(
     Feasibility of {simplex constraints, sum of hypothesis-model masses
     >= p per hypothesis, sum of conclusion-model masses < q} is decided
     exactly over the cells of the formulas; a feasible point is returned as
-    a carrier-A valuation with each cell's mass on its lowest subset.
+    a carrier-A valuation with each cell's mass on its lowest subset.  Each
+    distinct system is decided once while it stays in a bounded memo.
     """
     deltas = list(deltas)
     p, q = Fraction(p), Fraction(q)
@@ -82,12 +94,23 @@ def find_refuting_valuation(
             raise ValueError(f"threshold {name}={value} outside [0,1]")
     A = prop.atoms_of(alpha)
     for d in deltas:
-        A = A | prop.atoms_of(d)
-    atoms, sums, points = ppl.distribution_rows([*deltas, alpha], A, cap)
-    for d in deltas:
-        coeffs = {m: -c for m, c in sums[d].items()}
-        atoms.append(rcof.LinearAtom.make(coeffs, p, rcof.REL_LE))  # p - sum <= 0
-    atoms.append(rcof.LinearAtom.make(sums[alpha], -q, rcof.REL_LT))  # sum - q < 0
+        if not prop.atoms_of(d) <= A:  # else keep the shared scope: it is a memo key
+            A = A | prop.atoms_of(d)
+    prop._check_enumerable(A, cap)
+    hypotheses = tuple(prop._models_mask(d, A) for d in deltas)
+    return _refuting_valuation(A, hypotheses, prop._models_mask(alpha, A), p, q)
+
+
+@lru_cache(maxsize=_SYSTEMS)
+def _refuting_valuation(
+    A: prop.Scope, hypotheses: tuple, conclusion: int, p: Fraction, q: Fraction
+) -> Optional[stochval.StochasticValuation]:
+    """The refutation of ``find_refuting_valuation`` for the formulas' truth
+    tables over A; the valuation returned is frozen, so callers share it."""
+    atoms, sums, points = ppl.cell_rows([*hypotheses, conclusion], len(A))
+    for coeffs in sums[:-1]:  # p - sum <= 0
+        atoms.append(rcof.LinearAtom.make({c: -v for c, v in coeffs.items()}, p, rcof.REL_LE))
+    atoms.append(rcof.LinearAtom.make(sums[-1], -q, rcof.REL_LT))  # sum - q < 0
     values = rcof.fm_feasible(atoms)
     if values is None:
         return None

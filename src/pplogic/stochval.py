@@ -405,6 +405,8 @@ def dist_from_json(text: str) -> FinDist:
             raise DistributionError(f"bad mass entry {key!r}: {json.dumps(val)} is not a string")
         if not re.fullmatch("[0-9]+", key):
             raise DistributionError(f"bad mass entry {key!r}: a key is a mask in the digits 0-9")
+        if not re.fullmatch("[0-9]+(/[0-9]+)?", val):
+            raise DistributionError(f"bad mass entry {key!r}: {val!r} is not n or n/m in the digits 0-9")
         m = int(key)
         if m in masses:
             raise DistributionError(f"bad mass entry {key!r}: mask {m} already has a mass")

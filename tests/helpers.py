@@ -161,6 +161,30 @@ def distribution_rows_by_points(alphas, scope, cap: int = prop.DEFAULT_SCOPE_CAP
     return rows, sums, list(range(n))
 
 
+def find_refuting_valuation_by_points(deltas, alpha, p, q, cap: int = prop.DEFAULT_SCOPE_CAP):
+    """Reference for ``pqentail.find_refuting_valuation``: the system built
+    afresh on every call from the formulas themselves, over the point
+    encoding of ``distribution_rows_by_points``, with no memo of its own."""
+    deltas = list(deltas)
+    p, q = Fraction(p), Fraction(q)
+    for value, name in ((p, "p"), (q, "q")):
+        if not (0 <= value <= 1):
+            raise ValueError(f"threshold {name}={value} outside [0,1]")
+    A = prop.atoms_of(alpha)
+    for d in deltas:
+        A = A | prop.atoms_of(d)
+    atoms, sums, points = distribution_rows_by_points([*deltas, alpha], A, cap)
+    for d in deltas:
+        coeffs = {m: -c for m, c in sums[d].items()}
+        atoms.append(rcof.LinearAtom.make(coeffs, p, rcof.REL_LE))  # p - sum <= 0
+    atoms.append(rcof.LinearAtom.make(sums[alpha], -q, rcof.REL_LT))  # sum - q < 0
+    values = rcof.fm_feasible(atoms)
+    if values is None:
+        return None
+    joint = stochval.FinDist.from_masks(A, {m: values.get(c, Fraction(0)) for c, m in enumerate(points)})
+    return stochval.StochasticValuation(A, joint)
+
+
 def sign_classes(alphas, scope) -> list:
     """Brute-force cells: the subsets of the scope grouped by which of the
     formulas they satisfy, each class a sorted list of masks, the classes

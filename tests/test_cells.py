@@ -11,6 +11,7 @@ from pplogic import ppl, pqentail, prop, rcof, stochval, validity
 
 from .helpers import (
     distribution_rows_by_points,
+    find_refuting_valuation_by_points,
     random_formula,
     sign_classes,
     valuation_from_assignment_dense,
@@ -113,7 +114,7 @@ def test_decide_validity_matches_point_encoding(monkeypatch):
     assert statuses == {rcof.VALID, rcof.INVALID}
 
 
-def test_find_refuting_valuation_matches_point_encoding(monkeypatch):
+def test_find_refuting_valuation_matches_point_encoding():
     rng = random.Random(79)
     cases = []
     for _ in range(120):
@@ -121,11 +122,15 @@ def test_find_refuting_valuation_matches_point_encoding(monkeypatch):
         q = rng.choice(_BOUNDS[1:])
         p = rng.choice([b for b in _BOUNDS if b >= q])
         cases.append((formulas[:-1], formulas[-1], p, q))
+    # each pass starts from empty memos, so neither reads the other's answers
+    pqentail._refuting_valuation.cache_clear()
+    rcof._simplex.cache_clear()
     found = [pqentail.find_refuting_valuation(*case) for case in cases]
-    monkeypatch.setattr(ppl, "distribution_rows", distribution_rows_by_points)
+    pqentail._refuting_valuation.cache_clear()
+    rcof._simplex.cache_clear()
     verdicts = set()
     for (deltas, alpha, p, q), V in zip(cases, found):
-        reference = pqentail.find_refuting_valuation(deltas, alpha, p, q)
+        reference = find_refuting_valuation_by_points(deltas, alpha, p, q)
         assert (V is None) == (reference is None)
         if V is not None:
             assert all(stochval.prob(V, d) >= p for d in deltas)

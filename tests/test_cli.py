@@ -65,6 +65,12 @@ class TestProb:
             '{"carrier":[1],"mass":{" 1":"1"}}',
             '{"carrier":[1],"mass":{"\\u0661":"1"}}',
             '{"carrier":[1,2,3,4],"mass":{"1_0":"1"}}',
+            # mass values are n or n/m in ASCII digits
+            '{"carrier":[1],"mass":{"1":"1e0"}}',
+            '{"carrier":[1],"mass":{"1":" 1 "}}',
+            '{"carrier":[1],"mass":{"1":"\\u0661"}}',
+            '{"carrier":[1],"mass":{"1":"1_0/10"}}',
+            '{"carrier":[1,2],"mass":{"1":"0.5","2":"1/2"}}',
         ]:
             bad.write_text(text)
             for argv in (("prob", str(bad), "B1"), ("galois-demo", str(bad))):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from pplogic import pqentail, prop, stochval
 
-from .helpers import random_formula, semantic_class_pool
+from .helpers import find_refuting_valuation_by_points, random_formula, semantic_class_pool
 from .strategies import formulas
 
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -29,10 +29,11 @@ class TestThresholdRanges:
         V = stochval.StochasticValuation(frozenset({1}), stochval.FinDist.uniform(frozenset({1})))
         with pytest.raises(ValueError):
             pqentail.p_satisfies(V, B1, F(3, 2))
-        with pytest.raises(ValueError):
-            pqentail.hailperin_entails([B1], B1, F(-1, 2), F(1, 2))
-        with pytest.raises(ValueError):
-            pqentail.hailperin_entails([B1], B1, F(1, 2), F(5, 4))
+        # the refutation memo stores no exceptions, so every call is checked
+        for p, q in [(F(-1, 2), F(1, 2)), (F(1, 2), F(5, 4)), (F(3, 2), F(1, 2))]:
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    pqentail.hailperin_entails([B1], B1, p, q)
 
 
 class TestPSatisfies:
@@ -130,6 +131,54 @@ class TestCollapse:
         for d, a in itertools.product(pool, repeat=2):
             c, p = pqentail.collapse_check([d], a, t)
             assert c == p
+
+
+class TestMemo:
+    def test_range_error_wins_over_scope_cap(self):
+        wide = prop.conj_all([prop.Atom(k) for k in range(1, 18)])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pqentail.find_refuting_valuation([wide], B1, F(3, 2), F(1, 2))
+
+    def test_scope_cap_checked_on_every_call(self):
+        wide = prop.conj_all([prop.Atom(k) for k in range(1, 18)])
+        assert pqentail.find_refuting_valuation([wide], B1, F(1, 2), F(1, 2), cap=17) is None
+        for _ in range(2):
+            with pytest.raises(prop.ScopeCapError):
+                pqentail.find_refuting_valuation([wide], B1, F(1, 2), F(1, 2))
+
+    def test_memo_is_bounded(self):
+        maxsize = pqentail._refuting_valuation.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4096
+
+    def test_equal_truth_tables_share_one_entry(self):
+        first = ([prop.disj(B1, B2)], B1)
+        second = ([prop.disj(B2, B1)], prop.Not(prop.Not(B1)))
+        assert first != second
+        pqentail._refuting_valuation.cache_clear()
+        V = pqentail.find_refuting_valuation(*first, F(1, 2), F(1, 2))
+        before = pqentail._refuting_valuation.cache_info()
+        W = pqentail.find_refuting_valuation(*second, F(1, 2), F(1, 2))
+        after = pqentail._refuting_valuation.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
+        assert V is not None and W == V
+        for deltas, alpha in (first, second):
+            assert all(stochval.prob(W, d) >= F(1, 2) for d in deltas)
+            assert stochval.prob(W, alpha) < F(1, 2)
+
+    def test_collapse_check_matches_the_reference_over_the_class_pool(self):
+        # the pool, hypothesis sets and threshold pairs of test_03
+        pool = semantic_class_pool({1, 2})
+        hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
+        pqentail._refuting_valuation.cache_clear()
+        for p, q in [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]:
+            t = pqentail.ThresholdPair(p, q)
+            for deltas in hypothesis_sets:
+                conjunction = prop.conj_all(sorted(set(deltas), key=prop.to_text))
+                for alpha in pool:
+                    reference = find_refuting_valuation_by_points([conjunction], alpha, p, q)
+                    expected = (prop.entails_c(deltas, alpha), reference is None)
+                    assert pqentail.collapse_check(deltas, alpha, t) == expected
 
 
 @given(formulas(max_leaves=4), formulas(max_leaves=4), formulas(max_leaves=4))

@@ -277,7 +277,12 @@ class TestJson:
                     '{"carrier":[true],"mass":{"1":"1"}}', '{"carrier":[false],"mass":{"0":"1"}}',
                     # a key is a mask in ASCII digits, and no mask has two keys
                     '{"carrier":[1],"mass":{"1":"1","01":"1"}}', '{"carrier":[1],"mass":{" 1":"1"}}',
-                    '{"carrier":[1],"mass":{"\\u0661":"1"}}', '{"carrier":[1,2,3,4],"mass":{"1_0":"1"}}']:
+                    '{"carrier":[1],"mass":{"\\u0661":"1"}}', '{"carrier":[1,2,3,4],"mass":{"1_0":"1"}}',
+                    # a value is n or n/m in ASCII digits
+                    '{"carrier":[1],"mass":{"1":"1e0"}}', '{"carrier":[1],"mass":{"1":" 1 "}}',
+                    '{"carrier":[1],"mass":{"1":"\\u0661"}}', '{"carrier":[1],"mass":{"1":"1_0/10"}}',
+                    '{"carrier":[1,2],"mass":{"1":"0.5","2":"1/2"}}', '{"carrier":[1],"mass":{"1":"+1"}}',
+                    '{"carrier":[1],"mass":{"1":"1/0"}}']:
             with pytest.raises(stochval.DistributionError):
                 stochval.dist_from_json(bad)
 
