@@ -10,12 +10,16 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import calculus, pqentail, ppl, prop, rcof, stochval, validity
 from .config import Config
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use.  ``parse_args`` leaves it as it
+    was, so repeated in-process calls of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="pplogic",
         description="probabilistic propositional logic workbench",

@@ -420,7 +420,10 @@ def _linear_matrix(f: Formula, table: VarTable) -> Formula:
 # -- feasibility by exact general simplex ---------------------------------------------
 # Values and bounds are delta-rationals: a pair (a, b) stands for a + b*delta
 # with delta a positive infinitesimal, so tuple order is the order of values
-# and a strict bound v < u becomes v <= (u, -1).
+# and a strict bound v < u becomes v <= (u, -1).  A tableau row is integer:
+# (d, {k: n_k}) with d > 0 and gcd(d, n_k...) = 1 stands for d*x_i = sum(n_k*x_k),
+# so the row of a basic variable is unique and its signs are those of its
+# rational coefficients n_k / d.
 
 def fm_feasible(atoms: Iterable[LinearAtom]) -> Optional[dict]:
     """Decide feasibility of a conjunction of linear atoms over the rationals.
@@ -429,12 +432,15 @@ def fm_feasible(atoms: Iterable[LinearAtom]) -> Optional[dict]:
     variables are free and get 0) or None when infeasible.  General simplex
     with bounds (Dutertre & de Moura, CAV 2006): a one-variable row bounds
     its variable, and each distinct multi-variable left-hand side becomes a
-    basic slack variable bounded by its rows.  Bland's rule repairs the
+    basic slack variable bounded by its rows.  Tableau rows hold integers
+    over a positive row denominator and pivot fraction-free; only values,
+    bounds and the returned point are Fractions.  Bland's rule repairs the
     smallest out-of-bound basic variable by pivoting with the smallest
     nonbasic variable that can move; a basic variable that no nonbasic one
     can move proves infeasibility.  A concrete delta is then fixed small
-    enough to keep every bound, and the vertex reached is returned.  The
-    name is kept from the Fourier-Motzkin procedure the simplex replaced.
+    enough to keep every bound, and the vertex reached is returned after an
+    exact check against every input atom.  The name is kept from the
+    Fourier-Motzkin procedure the simplex replaced.
 
     Each distinct sequence of atoms is decided once while it stays in a
     bounded memo; every caller gets a fresh dict.
@@ -450,7 +456,7 @@ def _simplex(atoms: tuple) -> Optional[dict]:
     column: dict = {}  # var id, or a slack's coefficient tuple -> column
     lower: list = []
     upper: list = []
-    rows: dict = {}  # basic column -> {nonbasic column: coefficient}
+    rows: dict = {}  # basic column -> (d, {nonbasic column: int})
 
     def column_of(key) -> int:
         if key not in column:
@@ -471,7 +477,7 @@ def _simplex(atoms: tuple) -> Optional[dict]:
             c = 1 if a.coeffs[0][1] > 0 else -1
             lhs = tuple((k, c * v) for k, v in a.coeffs)
             if lhs not in column:
-                rows[column_of(lhs)] = {column_of(k): v for k, v in lhs}
+                rows[column_of(lhs)] = (1, {column_of(k): v for k, v in lhs})
             col = column[lhs]
         # c*col + const REL 0
         bound = -a.const / c
@@ -487,8 +493,9 @@ def _simplex(atoms: tuple) -> Optional[dict]:
         return None
 
     value = [lo or hi or (ZERO_F, ZERO_F) for lo, hi in zip(lower, upper)]
-    for i, row in rows.items():
-        value[i] = tuple(sum(c * value[j][t] for j, c in row.items()) for t in (0, 1))
+    for i, (_, row) in rows.items():  # every start row has d = 1
+        terms = [(c, value[j]) for j, c in row.items() if value[j][0] or value[j][1]]
+        value[i] = tuple(sum((c * v[t] for c, v in terms), start=ZERO_F) for t in (0, 1))
     while True:
         for i in sorted(rows):
             if lower[i] is not None and value[i] < lower[i]:
@@ -499,7 +506,7 @@ def _simplex(atoms: tuple) -> Optional[dict]:
                 break
         else:
             break
-        row = rows[i]
+        row = rows[i][1]
         for j in sorted(row):
             if (row[j] > 0) == rising:
                 if upper[j] is None or value[j] < upper[j]:
@@ -521,8 +528,9 @@ def _simplex(atoms: tuple) -> Optional[dict]:
         for key, col in column.items()
         if isinstance(key, int)
     }
+    support = {k: x for k, x in values.items() if x}
     for a in atoms:
-        total = sum((v * values.get(k, ZERO_F) for k, v in a.coeffs), start=a.const)
+        total = sum((v * support[k] for k, v in a.coeffs if k in support), start=a.const)
         ok = total == 0 if a.rel == REL_EQ else total <= 0 if a.rel == REL_LE else total < 0
         if not ok:  # pragma: no cover - guards the simplex
             raise AssertionError("simplex point violates an input constraint")
@@ -531,26 +539,47 @@ def _simplex(atoms: tuple) -> Optional[dict]:
 
 def _pivot_and_update(rows: dict, value: list, i: int, j: int, target: tuple) -> None:
     """Move basic column i to ``target`` through nonbasic column j, then swap
-    their roles: j becomes basic and i nonbasic."""
-    row = rows.pop(i)
-    a = Fraction(row.pop(j))  # rows start as ints; no int / int below
-    step = ((target[0] - value[i][0]) / a, (target[1] - value[i][1]) / a)
+    their roles: j becomes basic and i nonbasic.
+
+    Row i, d*x_i = a*x_j + rest, solves to a*x_j = d*x_i - rest, its signs
+    flipped when a < 0 so that the new denominator |a| stays positive; it
+    needs no reduction, holding the same integers as row i.  Every other row
+    e*x_k = c*x_j + rest' is cross-multiplied by |a| and gets c times the
+    solved row added (fraction-free, as in Bareiss 1968), then divided by
+    the gcd of its integers."""
+    d, row = rows.pop(i)
+    a = row.pop(j)
+    ratio = Fraction(d, a)  # dx_j / dx_i along row i
+    step = ((target[0] - value[i][0]) * ratio, (target[1] - value[i][1]) * ratio)
     value[i] = target
     value[j] = (value[j][0] + step[0], value[j][1] + step[1])
-    solved = {k: -c / a for k, c in row.items()}  # j = (i - sum rest) / a
-    solved[i] = 1 / a
-    for k, other in rows.items():
+    sign = 1 if a > 0 else -1
+    pivot = sign * a
+    solved = {k: -sign * n for k, n in row.items()}
+    solved[i] = sign * d
+    for k, (e, other) in rows.items():
         c = other.pop(j, None)
         if c is None:
             continue
-        value[k] = (value[k][0] + c * step[0], value[k][1] + c * step[1])
-        for m, d in solved.items():
-            total = other.get(m, ZERO_F) + c * d
+        rate = Fraction(c, e)
+        value[k] = (value[k][0] + rate * step[0], value[k][1] + rate * step[1])
+        if pivot != 1:
+            e *= pivot
+            for m in other:
+                other[m] *= pivot
+        for m, n in solved.items():
+            total = other.get(m, 0) + c * n
             if total:
                 other[m] = total
             else:
-                other.pop(m, None)
-    rows[j] = solved
+                del other[m]
+        g = math.gcd(e, *other.values())
+        if g > 1:
+            e //= g
+            for m in other:
+                other[m] //= g
+        rows[k] = (e, other)
+    rows[j] = (pivot, solved)
 
 
 # -- DNF by polarity --------------------------------------------------------------

@@ -591,3 +591,115 @@ def dnf_clauses_by_copy(f: rcof.Formula, cap: int) -> list:
     if len(left) * len(right) > cap:
         raise rcof.ClauseCapError(f"more than {cap} clauses in the negated matrix")
     return [lc + rc for lc in left for rc in right]
+
+
+# -- the Fraction tableau the integer rows replaced ------------------------------
+
+def simplex_by_fractions(atoms: tuple):
+    """Reference for ``rcof._simplex``: the same general simplex with each
+    row a dict of ``Fraction`` coefficients, x_i = sum(c * x_k)."""
+    ZERO_F, ONE_F = rcof.ZERO_F, rcof.ONE_F
+    column: dict = {}  # var id, or a slack's coefficient tuple -> column
+    lower: list = []
+    upper: list = []
+    rows: dict = {}  # basic column -> {nonbasic column: coefficient}
+
+    def column_of(key) -> int:
+        if key not in column:
+            column[key] = len(lower)
+            lower.append(None)
+            upper.append(None)
+        return column[key]
+
+    for a in atoms:
+        if not a.coeffs:
+            if not a.holds_on_constants():
+                return None
+            continue
+        if len(a.coeffs) == 1:
+            (v, c), = a.coeffs
+            col = column_of(v)
+        else:  # a row and its negation share one slack
+            c = 1 if a.coeffs[0][1] > 0 else -1
+            lhs = tuple((k, c * v) for k, v in a.coeffs)
+            if lhs not in column:
+                rows[column_of(lhs)] = {column_of(k): v for k, v in lhs}
+            col = column[lhs]
+        # c*col + const REL 0
+        bound = -a.const / c
+        if a.rel == rcof.REL_EQ or c > 0:
+            new = (bound, -ONE_F if a.rel == rcof.REL_LT else ZERO_F)
+            if upper[col] is None or new < upper[col]:
+                upper[col] = new
+        if a.rel == rcof.REL_EQ or c < 0:
+            new = (bound, ONE_F if a.rel == rcof.REL_LT else ZERO_F)
+            if lower[col] is None or new > lower[col]:
+                lower[col] = new
+    if any(lo is not None and hi is not None and lo > hi for lo, hi in zip(lower, upper)):
+        return None
+
+    value = [lo or hi or (ZERO_F, ZERO_F) for lo, hi in zip(lower, upper)]
+    for i, row in rows.items():
+        value[i] = tuple(sum(c * value[j][t] for j, c in row.items()) for t in (0, 1))
+    while True:
+        for i in sorted(rows):
+            if lower[i] is not None and value[i] < lower[i]:
+                target, rising = lower[i], True
+                break
+            if upper[i] is not None and value[i] > upper[i]:
+                target, rising = upper[i], False
+                break
+        else:
+            break
+        row = rows[i]
+        for j in sorted(row):
+            if (row[j] > 0) == rising:
+                if upper[j] is None or value[j] < upper[j]:
+                    break
+            elif lower[j] is None or value[j] > lower[j]:
+                break
+        else:
+            return None
+        pivot_by_fractions(rows, value, i, j, target)
+
+    delta = ONE_F
+    for (x, dx), lo, hi in zip(value, lower, upper):
+        if lo is not None and lo[0] < x and lo[1] > dx:
+            delta = min(delta, (x - lo[0]) / (lo[1] - dx))
+        if hi is not None and x < hi[0] and dx > hi[1]:
+            delta = min(delta, (hi[0] - x) / (dx - hi[1]))
+    values = {
+        key: value[col][0] + value[col][1] * delta
+        for key, col in column.items()
+        if isinstance(key, int)
+    }
+    for a in atoms:
+        total = sum((v * values.get(k, ZERO_F) for k, v in a.coeffs), start=a.const)
+        ok = total == 0 if a.rel == rcof.REL_EQ else total <= 0 if a.rel == rcof.REL_LE else total < 0
+        if not ok:
+            raise AssertionError("simplex point violates an input constraint")
+    return values
+
+
+def pivot_by_fractions(rows: dict, value: list, i: int, j: int, target: tuple) -> None:
+    """The pivot of ``simplex_by_fractions``: basic column i moves to
+    ``target`` through nonbasic column j, then j becomes basic."""
+    row = rows.pop(i)
+    a = Fraction(row.pop(j))  # rows start as ints; no int / int below
+    step = ((target[0] - value[i][0]) / a, (target[1] - value[i][1]) / a)
+    value[i] = target
+    value[j] = (value[j][0] + step[0], value[j][1] + step[1])
+    solved = {k: -c / a for k, c in row.items()}  # j = (i - sum rest) / a
+    solved[i] = 1 / a
+    for k, other in rows.items():
+        c = other.pop(j, None)
+        if c is None:
+            continue
+        value[k] = (value[k][0] + c * step[0], value[k][1] + c * step[1])
+        for m, d in solved.items():
+            total = other.get(m, rcof.ZERO_F) + c * d
+            if total:
+                other[m] = total
+            else:
+                other.pop(m, None)
+    rows[j] = solved

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from pplogic import cli, prop, stochval
+from pplogic import cli, config, prop, stochval
 from pplogic.config import Config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -193,6 +196,36 @@ def test_option_defaults_are_the_library_defaults():
     args = cli._build_parser().parse_args(["valid", "P(B1) = 1"])
     assert cli._config(args) == Config()
     assert Config().scope_cap == prop.DEFAULT_SCOPE_CAP
+
+
+def test_in_process_calls_share_the_parser_and_no_options(capsys, monkeypatch):
+    # each call prints what it prints in a fresh interpreter: a json format,
+    # a raised scope cap or a usage error does not carry over to the next
+    monkeypatch.delenv(config.SOLVER_ENV_VAR, raising=False)
+    disjunction = " | ".join(f"B{i}" for i in range(1, 18))
+    calls = [
+        ["--format", "json", "valid", "P(B1 & B2) < 1/2"],
+        ["--scope-cap", "20", "prob", UNIFORM, disjunction],
+        ["--scope-cap", "20", "--format", "json", "valid"],
+        ["valid", "P(B1 & B2) < 1/2"],
+        ["prob", UNIFORM, disjunction],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(FIXTURES.parent / "src"), env.get("PYTHONPATH", "")])
+    cli._build_parser.cache_clear()
+    seen = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exited:
+            code = exited.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "pplogic.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        seen.append(code)
+    assert seen == [1, 0, 2, 1, 2]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(

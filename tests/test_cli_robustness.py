@@ -8,11 +8,14 @@ the wrong type for ``prob`` and ``galois-demo``.  Every exit code must lie in
 may escape ``cli.main``.
 """
 
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
 
+import pplogic
 from pplogic import cli, config
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -159,3 +162,14 @@ def test_random_malformed_inputs_get_an_exit_code(command, tmp_path, capsys, mon
             code = exited.code
         capsys.readouterr()
         assert code in EXIT_CODES, argv
+
+
+def test_every_module_cache_is_bounded():
+    # long-lived library use must not grow a functools cache without bound
+    caches = {}
+    for module in pkgutil.iter_modules(pplogic.__path__, "pplogic."):
+        for name, value in vars(importlib.import_module(module.name)).items():
+            if callable(getattr(value, "cache_info", None)):
+                caches[f"{module.name}.{name}"] = value.cache_info().maxsize
+    assert len(caches) >= 8
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []

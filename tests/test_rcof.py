@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import stat
@@ -9,6 +11,7 @@ import pytest
 from pplogic import ppl, pqentail, prop, rcof, validity
 from pplogic.config import Config
 
+from . import helpers
 from .helpers import (
     dnf_clauses_by_copy,
     eval_formula_by_cases,
@@ -499,6 +502,97 @@ def test_integer_systems_that_pivot_return_fractions(monkeypatch):
             pivoted += 1
             assert all(type(v) is F for v in point.values())
     assert pivoted >= 20
+
+
+
+# -- the integer tableau against the Fraction one it replaced ---------------------
+
+def _posed_systems(run) -> list:
+    """The distinct systems ``run()`` hands to ``fm_feasible``, memos emptied
+    first so that every one is posed."""
+    posed = {}
+    simplex = rcof.fm_feasible
+
+    def spy(atoms):
+        atoms = tuple(atoms)
+        posed.setdefault(atoms, None)
+        return simplex(atoms)
+
+    for memo in (rcof._simplex, pqentail._refuting_valuation):
+        memo.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rcof, "fm_feasible", spy)
+        run()
+    return list(posed)
+
+
+def _collapse_pool_sweep():
+    """The sweep of acceptance test 03: every hypothesis set of at most two
+    of the 2-atom classes, every conclusion, four threshold pairs."""
+    pool = semantic_class_pool({1, 2})
+    hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
+    pairs = [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]
+    for deltas in hypothesis_sets:
+        for alpha in pool:
+            for p, q in pairs:
+                pqentail.collapse_check(list(deltas), alpha, pqentail.ThresholdPair(p, q))
+
+
+def _wide_lp(k: int) -> ppl.PplFormula:
+    hypotheses = " & ".join(f"P(B{i}) = 1/2" for i in range(1, k + 1))
+    conj = " & ".join(f"B{i}" for i in range(1, k + 1))
+    return ppl.parse(f"{hypotheses} -> P({conj}) < 1/{2 ** k}")
+
+
+def test_integer_tableau_equals_the_fraction_tableau(monkeypatch):
+    # the same pivots in the same order, so the same vertex: equal dicts, not
+    # only equal verdicts
+    systems = [tuple(atoms) for atoms in _pairing_systems()]
+    systems += _posed_systems(lambda: [validity.decide_validity(phi) for phi in _reference_formulas()])
+    systems += _posed_systems(_collapse_pool_sweep)
+    systems += _posed_systems(lambda: validity.decide_validity(_wide_lp(6)))
+    pivots = {"int": 0, "fraction": 0}
+
+    def counted(name, pivot):
+        def count(*args):
+            pivots[name] += 1
+            return pivot(*args)
+        return count
+
+    monkeypatch.setattr(rcof, "_pivot_and_update", counted("int", rcof._pivot_and_update))
+    monkeypatch.setattr(helpers, "pivot_by_fractions", counted("fraction", helpers.pivot_by_fractions))
+    feasible = 0
+    for atoms in systems:
+        pivots.update(int=0, fraction=0)
+        point = rcof._simplex.__wrapped__(atoms)
+        assert point == helpers.simplex_by_fractions(atoms)
+        assert pivots["int"] == pivots["fraction"]
+        feasible += point is not None
+    assert len(systems) >= 1500 and 0 < feasible < len(systems)
+    assert pivots["int"] >= 30  # the last system, wide-lp at k = 6, pivots
+
+
+def _as_fractions(rows: dict) -> dict:
+    return {i: {k: F(n, d) for k, n in row.items()} for i, (d, row) in rows.items()}
+
+
+def test_pivot_keeps_integer_rows_with_positive_denominators():
+    # x3 = 2 x0 - 3 x1 + x2 and x4 = -x0 + 5 x1 over nonbasic x0, x1, x2; the
+    # first pivot element is negative, the later ones leave denominators > 1
+    rows = {3: (1, {0: 2, 1: -3, 2: 1}), 4: (1, {0: -1, 1: 5})}
+    value = [(F(0), F(0)), (F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(0)), (F(0), F(0))]
+    reference_rows, reference_value = _as_fractions(rows), list(value)
+    denominators = set()
+    for i, j, target in [(3, 1, (F(2), F(0))), (4, 0, (F(-1, 3), F(1))), (1, 2, (F(5, 7), F(-1)))]:
+        rcof._pivot_and_update(rows, value, i, j, target)
+        helpers.pivot_by_fractions(reference_rows, reference_value, i, j, target)
+        assert _as_fractions(rows) == reference_rows and value == reference_value
+        for d, row in rows.values():
+            denominators.add(d)
+            assert type(d) is int and d > 0
+            assert all(type(n) is int for n in row.values())
+            assert math.gcd(d, *row.values()) == 1
+    assert denominators - {1}
 
 
 # -- the operator table against the walkers it replaced -------------------------
