@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Subcommands: prob, valid, pq-entail, check, emit-smt, galois-demo.
-Exit codes follow each subcommand's contract; 2 always means bad input.
+Exit codes follow each subcommand's contract; 2 means bad input, and 4 an
+internal error, never a verdict.  ``main`` is the one place that maps
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from functools import lru_cache
 
 from . import calculus, pqentail, ppl, prop, rcof, stochval, validity
 from .config import Config
+
+# Every parser, loader and ``Fraction`` error is a ValueError.
+BAD_INPUT = (OSError, ValueError, ZeroDivisionError, prop.ScopeCapError)
 
 
 @lru_cache(maxsize=1)
@@ -77,29 +82,18 @@ def _load_valuation(path: str) -> stochval.StochasticValuation:
         return stochval.valuation_from_json(handle.read())
 
 
-def _witness_payload(witness: rcof.Assignment, scope) -> dict:
-    V = validity.valuation_from_assignment(witness, scope)
+def _witness_payload(decision: rcof.Decision) -> dict:
+    witness = decision.witness
     return {
         "numeric": {str(k): str(v) for k, v in sorted(witness.numeric.items())},
         "probability": {k: str(v) for k, v in sorted(witness.probs.items())},
-        "distribution": json.loads(stochval.dist_to_json(V.joint)),
+        "distribution": stochval.dist_to_dict(decision.valuation.joint),
     }
 
 
 def _cmd_prob(args) -> int:
-    try:
-        V = _load_valuation(args.valuation)
-        alpha = prop.parse(args.formula)
-        value = stochval.prob(V, alpha, cap=args.scope_cap)
-    except (
-        OSError,
-        UnicodeDecodeError,
-        stochval.DistributionError,
-        prop.ParseError,
-        prop.ScopeCapError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    V = _load_valuation(args.valuation)
+    value = stochval.prob(V, prop.parse(args.formula), cap=args.scope_cap)
     if args.fmt == "json":
         print(json.dumps({"probability": str(value)}))
     else:
@@ -108,20 +102,14 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    config = _config(args)
-    try:
-        phi = ppl.parse(args.formula)
-        decision = validity.decide_validity(phi, config)
-    except (ppl.PplParseError, prop.ScopeCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    decision = validity.decide_validity(ppl.parse(args.formula), _config(args))
     if decision.status == rcof.VALID:
         print(json.dumps({"status": "valid"}) if args.fmt == "json" else "valid")
         return 0
     if decision.status == rcof.INVALID:
         payload = {"status": "invalid", "witness": None}
         if decision.witness is not None:
-            payload["witness"] = _witness_payload(decision.witness, validity.ppl_scope(phi))
+            payload["witness"] = _witness_payload(decision)
         print(json.dumps(payload, indent=None if args.fmt == "json" else 2))
         return 1
     print(f"unsupported: {decision.reason}", file=sys.stderr)
@@ -139,25 +127,13 @@ def _read_hypotheses(path: str) -> list:
 
 
 def _cmd_pq_entail(args) -> int:
-    try:
-        p, q = Fraction(args.p), Fraction(args.q)
-        hyps = _read_hypotheses(args.hyp)
-        concl = prop.parse(args.concl)
-        if args.hailperin:
-            entails = pqentail.hailperin_entails(hyps, concl, p, q, cap=args.scope_cap)
-        else:
-            entails = pqentail.pq_entails(
-                hyps, concl, pqentail.ThresholdPair(p, q), cap=args.scope_cap
-            )
-    except (
-        OSError,
-        ValueError,  # also an undecodable hypothesis file
-        ZeroDivisionError,
-        prop.ParseError,
-        prop.ScopeCapError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    p, q = Fraction(args.p), Fraction(args.q)
+    hyps = _read_hypotheses(args.hyp)
+    concl = prop.parse(args.concl)
+    if args.hailperin:
+        entails = pqentail.hailperin_entails(hyps, concl, p, q, cap=args.scope_cap)
+    else:
+        entails = pqentail.pq_entails(hyps, concl, pqentail.ThresholdPair(p, q), cap=args.scope_cap)
     if args.fmt == "json":
         print(json.dumps({"entails": entails, "p": str(p), "q": str(q)}))
     else:
@@ -166,14 +142,9 @@ def _cmd_pq_entail(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = _config(args)
-    try:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            derivation = calculus.parse_script(handle.read())
-    except (OSError, UnicodeDecodeError, calculus.ScriptError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    report = calculus.check_derivation(derivation, config)
+    with open(args.script, "r", encoding="utf-8") as handle:
+        derivation = calculus.parse_script(handle.read())
+    report = calculus.check_derivation(derivation, _config(args))
     if args.fmt == "json":
         print(report.to_json())
     else:
@@ -188,47 +159,31 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_emit_smt(args) -> int:
-    config = _config(args)
-    try:
-        phi = ppl.parse(args.formula)
-        scope = validity.ppl_scope(phi)
-        alphas = validity.probability_formulas(phi)
-        matrix = rcof.Implies(
-            ppl.build_Q(alphas, scope, cap=config.scope_cap), ppl.translate(phi)
-        )
-    except (ppl.PplParseError, prop.ScopeCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    sys.stdout.write(rcof.emit_smtlib(matrix))
+    phi = ppl.parse(args.formula)
+    sys.stdout.write(rcof.emit_smtlib(validity.field_sentence(phi, args.scope_cap)))
     return 0
 
 
 def _cmd_galois_demo(args) -> int:
-    try:
-        V = _load_valuation(args.valuation)
-        prop._check_enumerable(V.carrier, args.scope_cap)
-        P = stochval.psv(V, args.scope_cap)
-        rows = []
-        for U in prop.subsets_ascending(V.carrier):
-            point = prop.phi(V.carrier, U)
-            rows.append((prop.to_text(point), P(point)))
-        back = stochval.svp(P, V.carrier)
-    except (OSError, UnicodeDecodeError, stochval.DistributionError, prop.ScopeCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    V = _load_valuation(args.valuation)
+    back = stochval.svp(stochval.psv(V, args.scope_cap), V.carrier)
+    points = {
+        prop.to_text(prop.phi(V.carrier, U)): str(back.joint.mass_of_mask(m))
+        for m, U in enumerate(prop.subsets_ascending(V.carrier))
+    }
     round_trip = back == V
     if args.fmt == "json":
         print(
             json.dumps(
                 {
-                    "point_probabilities": {name: str(v) for name, v in rows},
+                    "point_probabilities": points,
                     "round_trip_equal": round_trip,
-                    "distribution": json.loads(stochval.dist_to_json(back.joint)),
+                    "distribution": stochval.dist_to_dict(back.joint),
                 }
             )
         )
     else:
-        for name, v in rows:
+        for name, v in points.items():
             print(f"P({name}) = {v}")
         print(f"round trip equal: {round_trip}")
     return 0 if round_trip else 1
@@ -255,6 +210,12 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
+    except BAD_INPUT as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a fault of the program, never a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

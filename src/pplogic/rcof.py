@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
-from . import prop
+from . import prop, stochval
 from .config import Config
 
 ZERO_F = Fraction(0)
@@ -627,11 +627,14 @@ class Decision:
 
     A refuting witness accompanies INVALID when the internal decider
     produced one; external solvers report INVALID without a model.
+    ``validity.decide_validity`` adds the stochastic valuation it read off
+    that witness and checked to refute its formula.
     """
 
     status: str
     witness: Optional[Assignment] = None
     reason: Optional[str] = None
+    valuation: Optional[stochval.StochasticValuation] = None
 
 
 def decide_universal_linear(

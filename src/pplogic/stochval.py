@@ -377,12 +377,15 @@ def check_consistency(family: Iterable[FinDist]) -> ConsistencyReport:
 
 # -- canonical JSON form -------------------------------------------------------
 
+def dist_to_dict(d: FinDist) -> dict:
+    """Canonical form: sorted carrier, ascending decimal masks, reduced
+    fraction strings, zero masses omitted."""
+    return {"carrier": sorted(d.scope), "mass": {str(m): str(p) for m, p in d.mass}}
+
+
 def dist_to_json(d: FinDist) -> str:
-    """Canonical serialization: sorted carrier, ascending decimal masks,
-    reduced fraction strings, zero masses omitted, no whitespace.
-    """
-    mass = {str(m): str(p) for m, p in d.mass}
-    return json.dumps({"carrier": sorted(d.scope), "mass": mass}, separators=(",", ":"))
+    """``dist_to_dict`` serialized with no whitespace."""
+    return json.dumps(dist_to_dict(d), separators=(",", ":"))
 
 
 def dist_from_json(text: str) -> FinDist:

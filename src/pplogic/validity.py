@@ -7,11 +7,12 @@ every real closed ordered field, where psi is the formula's translation
 common distribution over the formula's atoms.  RR steps are decided the
 same way.  An invalid formula comes back with a rational witness
 assignment; the induced stochastic valuation is checked to refute the
-input before the verdict is returned.
+input and returned with the verdict.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from . import ppl, prop, rcof, stochval
@@ -79,13 +80,22 @@ def valuation_from_assignment(rho: rcof.Assignment, scope: prop.Scope) -> stochv
     return stochval.StochasticValuation(scope, stochval.FinDist.from_masks(scope, masses))
 
 
+def field_sentence(phi: ppl.PplFormula, cap: int = Config.scope_cap) -> rcof.Formula:
+    """The universal sentence ``Q -> translate(phi)``, Q the formulas'
+    cells rendered as a field formula (``ppl.build_Q``): what ``emit-smt``
+    prints and the external-solver route decides."""
+    q = ppl.build_Q(probability_formulas(phi), ppl_scope(phi), cap=cap)
+    return rcof.Implies(q, ppl.translate(phi))
+
+
 def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
     """Decide whether ``phi`` holds under every valuation and assignment.
 
     A linear translation is decided over the polytope rows of the
     formulas' cells, each formula variable the mass of the cells inside its
-    models; a nonlinear one goes to the external-solver route with Q
-    rendered over the same cells as a field formula (``ppl.build_Q``).
+    models; a nonlinear one goes to the external-solver route as its
+    ``field_sentence``.  An INVALID decision with a witness carries the
+    valuation read off it, checked to refute ``phi``.
     """
     config = config or Config()
     alphas = probability_formulas(phi)
@@ -97,10 +107,10 @@ def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision
             psi, config.clause_cap, rows, rcof.VarTable(sums, scope, points)
         )
     except rcof.NonlinearTermError:
-        q = ppl.build_Q(alphas, scope, cap=config.scope_cap)
-        decision = rcof.decide(rcof.Implies(q, psi), config)
+        decision = rcof.decide(field_sentence(phi, config.scope_cap), config)
     if decision.status == rcof.INVALID and decision.witness is not None:
         V = valuation_from_assignment(decision.witness, scope)
         if ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):  # pragma: no cover - self-check
             raise AssertionError("recovered witness does not refute the formula")
+        decision = replace(decision, valuation=V)
     return decision

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from pplogic import cli, config, prop, stochval
+from pplogic import calculus, cli, config, ppl, pqentail, prop, rcof, stochval, validity
 from pplogic.config import Config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -111,6 +111,14 @@ class TestValid:
         payload = json.loads(out)
         validate(payload, "valid_result.schema.json")
         assert payload["witness"]["distribution"]["carrier"] == [1]
+
+    def test_witness_distribution_is_the_decision_valuation(self, capsys):
+        formula = f"P({conj_text(3)}) < 1/2"
+        code, out, _ = run(capsys, "--format", "json", "valid", formula)
+        decision = validity.decide_validity(ppl.parse(formula))
+        assert code == 1
+        distribution = json.loads(out)["witness"]["distribution"]
+        assert distribution == stochval.dist_to_dict(decision.valuation.joint)
 
     def test_unsupported_exits_3(self, capsys):
         code, _, err = run(capsys, "valid", "P(B1) < x1 * x1")
@@ -253,6 +261,49 @@ def test_deeply_nested_formula_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "nested too deeply" in err and "Traceback" not in err
+
+
+def _raise(error):
+    def fault(*args, **kwargs):
+        raise error
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "module, name, error, argv",
+    [
+        (validity, "decide_validity",
+         AssertionError("recovered witness does not refute the formula"),
+         ("valid", "P(B1) < 1/2")),
+        (calculus, "check_derivation", KeyError(3),
+         ("check", str(FIXTURES / "marginal_sum.ppl-proof"))),
+        (pqentail, "pq_entails", TypeError("unhashable type"),
+         ("pq-entail", "--p", "1/2", "--q", "1/2", "--hyp", "{path}", "--concl", "B1")),
+    ],
+    ids=["valid", "check", "pq-entail"],
+)
+def test_internal_fault_exits_4_and_prints_no_verdict(
+    capsys, tmp_path, monkeypatch, module, name, error, argv
+):
+    # exit 1 means invalid, rejected or does not entail; a crash is none of these
+    path = tmp_path / "hypotheses"
+    path.write_text("B1\n")
+    monkeypatch.setattr(module, name, _raise(error))
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+def test_internal_value_error_reads_as_bad_input(capsys, tmp_path, monkeypatch):
+    # the one boundary cannot tell a program's ValueError from a parser's
+    path = tmp_path / "hypotheses"
+    path.write_text("B1\n")
+    monkeypatch.setattr(pqentail, "pq_entails", _raise(ValueError("fault")))
+    code, out, err = run(
+        capsys, "pq-entail", "--p", "1/2", "--q", "1/2", "--hyp", str(path), "--concl", "B1"
+    )
+    assert (code, out, err) == (2, "", "error: fault\n")
 
 
 @pytest.mark.parametrize(
@@ -408,6 +459,13 @@ class TestEmitSmt:
             capsys, "emit-smt", "P(B1 & !B2) = x1 & P(B1 & B2) = x2 -> P(B1) = x1 + x2"
         )
         assert code == 0 and "(set-logic QF_NRA)" in out
+
+
+    def test_nonlinear_formula_emits_the_field_sentence(self, capsys):
+        formula = "P(B1 & B2) = x1 -> P(B1) >= x1 * x1"
+        code, out, _ = run(capsys, "emit-smt", formula)
+        assert code == 0
+        assert out == rcof.emit_smtlib(validity.field_sentence(ppl.parse(formula)))
 
 
 class TestNonlinearScope:

@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from pplogic import calculus, ppl, prop, rcof, stochval, validity
+from pplogic import calculus, config, ppl, prop, rcof, stochval, validity
 from pplogic.config import Config
 
 from .helpers import (
@@ -79,7 +80,27 @@ class TestValuationFromAssignment:
 
 class TestDecideValidity:
     def test_probability_at_most_one(self):
-        assert validity.decide_validity(ppl.parse("P(B1) <= 1")).status == rcof.VALID
+        d = validity.decide_validity(ppl.parse("P(B1) <= 1"))
+        assert d.status == rcof.VALID and d.valuation is None
+
+    def test_unsupported_and_solver_refutations_carry_no_valuation(self, tmp_path, monkeypatch):
+        # an external solver's INVALID has no witness to read a valuation off
+        monkeypatch.delenv(config.SOLVER_ENV_VAR, raising=False)
+        phi = ppl.parse("P(B1) < x1 * x1")
+        d = validity.decide_validity(phi)
+        assert d.status == rcof.UNSUPPORTED and d.valuation is None
+        stub = tmp_path / "solver.py"
+        stub.write_text("import sys\nopen(sys.argv[1]).read()\nprint('sat')\n")
+        d = validity.decide_validity(phi, Config(solver=f"{sys.executable} {stub}"))
+        assert d.status == rcof.INVALID and d.witness is None and d.valuation is None
+
+    def test_nonlinear_route_decides_the_field_sentence(self, monkeypatch):
+        seen = []
+        unsupported = rcof.Decision(rcof.UNSUPPORTED)
+        monkeypatch.setattr(rcof, "decide", lambda matrix, config: seen.append(matrix) or unsupported)
+        phi = ppl.parse("P(B1 & B2) = x1 -> P(B1) >= x1 * x1")
+        validity.decide_validity(phi, Config(scope_cap=4))
+        assert seen == [validity.field_sentence(phi, 4)]
 
     def test_marginal_sum_implication(self):
         phi = ppl.parse("P(B1 & !B2) = x1 & P(B1 & B2) = x2 -> P(B1) = x1 + x2")
@@ -96,6 +117,7 @@ class TestDecideValidity:
         d = validity.decide_validity(phi)
         assert d.status == rcof.INVALID
         V = validity.valuation_from_assignment(d.witness, validity.ppl_scope(phi))
+        assert d.valuation == V
         assert stochval.prob(V, B1) >= F(1, 2)
         assert not ppl.ppl_sat(V, d.witness, phi)
 
@@ -106,6 +128,7 @@ class TestDecideValidity:
         d = validity.decide_validity(impl)
         assert d.status == rcof.INVALID
         V = validity.valuation_from_assignment(d.witness, frozenset({1}))
+        assert d.valuation == V
         assert stochval.prob(V, B1) < F(1, 2)
         assert stochval.prob(V, B1) >= F(1, 4)
 
@@ -180,9 +203,13 @@ def _random_ppl(rng, depth):
 
 
 def _assert_refutes(decision, phi, scope):
-    if decision.status == rcof.INVALID:
-        V = validity.valuation_from_assignment(decision.witness, scope)
-        assert not ppl.ppl_sat(V, decision.witness, phi), ppl.to_text(phi)
+    """The valuation read off an INVALID decision's witness refutes phi;
+    returns it, or None for any other decision."""
+    if decision.status != rcof.INVALID:
+        return None
+    V = validity.valuation_from_assignment(decision.witness, scope)
+    assert not ppl.ppl_sat(V, decision.witness, phi), ppl.to_text(phi)
+    return V
 
 
 def _reference_formulas() -> list:
@@ -200,7 +227,8 @@ def test_decide_validity_matches_field_formula_reference():
         decision = validity.decide_validity(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
         scope = validity.ppl_scope(phi)
-        _assert_refutes(decision, phi, scope)
+        # the valuation handed forward is the one the witness reads as
+        assert decision.valuation == _assert_refutes(decision, phi, scope)
         _assert_refutes(reference, phi, reference_scope)
         if decision.status == rcof.INVALID:
             _assert_lists_support_only(decision.witness, validity.probability_formulas(phi), scope)
@@ -269,7 +297,7 @@ def test_check_rr_matches_field_formula_reference():
         )
         decision = calculus.check_rr(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
-        _assert_refutes(decision, phi, validity.ppl_scope(phi))
+        assert decision.valuation == _assert_refutes(decision, phi, validity.ppl_scope(phi))
         statuses.add(decision.status)
     assert statuses == {rcof.VALID, rcof.INVALID}
 
