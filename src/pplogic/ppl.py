@@ -168,12 +168,7 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
     sum is its probability.  The third lists each cell's representative, the
     bitmask of its lowest subset.
     """
-    scope = frozenset(scope)
-    for a in alphas:
-        if not prop.atoms_of(a) <= scope:
-            raise prop.ScopeError(f"{prop.to_text(a)} has atoms outside {sorted(scope)}")
-    prop._check_enumerable(scope, cap)
-    masks = [prop._models_mask(a, scope) for a in alphas]
+    scope, masks = prop.tables(alphas, cap, scope)
     rows, sums, points = cell_rows(masks, len(scope))
     return rows, dict(zip(alphas, sums)), points
 

@@ -92,13 +92,9 @@ def find_refuting_valuation(
     for value, name in ((p, "p"), (q, "q")):
         if not (ZERO <= value <= ONE):
             raise ValueError(f"threshold {name}={value} outside [0,1]")
-    A = prop.atoms_of(alpha)
-    for d in deltas:
-        if not prop.atoms_of(d) <= A:  # else keep the shared scope: it is a memo key
-            A = A | prop.atoms_of(d)
-    prop._check_enumerable(A, cap)
-    hypotheses = tuple(prop._models_mask(d, A) for d in deltas)
-    return _refuting_valuation(A, hypotheses, prop._models_mask(alpha, A), p, q)
+    # the conclusion first: its atom set, shared across calls, is the memo's scope key
+    A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
+    return _refuting_valuation(A, tuple(hypotheses), conclusion, p, q)
 
 
 @lru_cache(maxsize=_SYSTEMS)
@@ -112,10 +108,7 @@ def _refuting_valuation(
         atoms.append(rcof.LinearAtom.make({c: -v for c, v in coeffs.items()}, p, rcof.REL_LE))
     atoms.append(rcof.LinearAtom.make(sums[-1], -q, rcof.REL_LT))  # sum - q < 0
     values = rcof.fm_feasible(atoms)
-    if values is None:
-        return None
-    joint = stochval.FinDist.from_masks(A, {m: values.get(c, ZERO) for c, m in enumerate(points)})
-    return stochval.StochasticValuation(A, joint)
+    return None if values is None else stochval.from_cells(A, points, values)
 
 
 def hailperin_entails(
@@ -144,7 +137,7 @@ def pq_entails(
     The hypotheses are conjoined (empty set: the constant-true formula)
     and the single conjunction must reach p for the conclusion to owe q.
     """
-    conjunction = prop.conj_all(sorted(set(deltas), key=prop.to_text))
+    conjunction = prop.conj_all(deltas)
     return hailperin_entails([conjunction], alpha, thresholds.p, thresholds.q, cap)
 
 

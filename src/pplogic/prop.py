@@ -330,26 +330,39 @@ def _models_mask(alpha: PropFormula, A: Scope) -> int:
     return _truth_table(alpha, columns, full)
 
 
+def tables(formulas: Iterable[PropFormula], cap: int = DEFAULT_SCOPE_CAP, scope: Optional[Scope] = None):
+    """``(A, [each formula's truth table over A])``.  A is ``scope`` when
+    given (an atom outside it raises ScopeError), else the union of the
+    formulas' atoms: the very ``atoms_of`` set of the first formula when it
+    covers the rest, for memos keyed on it.  Raises ScopeCapError when A has
+    more than ``cap`` atoms."""
+    formulas = list(formulas)
+    if scope is None:
+        A = atoms_of(formulas[0]) if formulas else frozenset()
+        for f in formulas[1:]:
+            if not atoms_of(f) <= A:
+                A = A | atoms_of(f)
+    else:
+        A = frozenset(scope)
+        for f in formulas:
+            if not atoms_of(f) <= A:
+                raise ScopeError(f"atoms {sorted(atoms_of(f) - A)} outside scope {sorted(A)}")
+    _check_enumerable(A, cap)
+    return A, [_models_mask(f, A) for f in formulas]
+
+
 def models_over(alpha: PropFormula, A: Scope, cap: int = DEFAULT_SCOPE_CAP) -> frozenset:
     """The subsets of A whose induced A-valuation satisfies ``alpha``."""
-    if not atoms_of(alpha) <= A:
-        raise ScopeError(f"atoms {sorted(atoms_of(alpha) - A)} outside scope {sorted(A)}")
-    _check_enumerable(A, cap)
-    bits = _models_mask(alpha, A)
-    return frozenset(subset_of_mask(A, m) for m in range(1 << len(A)) if bits >> m & 1)
+    return frozenset(c.trues for c in dnf(alpha, A, cap))
 
 
 def entails_c(deltas: Iterable[PropFormula], alpha: PropFormula, cap: int = DEFAULT_SCOPE_CAP) -> bool:
     """Classical entailment over the union scope, by brute-force enumeration."""
-    deltas = list(deltas)
-    A = atoms_of(alpha)
-    for d in deltas:
-        A = A | atoms_of(d)
-    _check_enumerable(A, cap)
+    A, (conclusion, *hypotheses) = tables([alpha, *deltas], cap)
     models = (1 << (1 << len(A))) - 1
-    for d in deltas:
-        models &= _models_mask(d, A)
-    return models & ~_models_mask(alpha, A) == 0
+    for m in hypotheses:
+        models &= m
+    return models & ~conclusion == 0
 
 
 def phi(A: Scope, U: frozenset) -> PropFormula:
@@ -407,10 +420,7 @@ def dnf(alpha: PropFormula, A: Scope, cap: int = DEFAULT_SCOPE_CAP) -> list:
     """Pairwise-contradictory full-scope disjuncts equivalent to ``alpha``,
     one per model over A, sorted by subset bitmask.
     """
-    if not atoms_of(alpha) <= A:
-        raise ScopeError(f"atoms {sorted(atoms_of(alpha) - A)} outside scope {sorted(A)}")
-    _check_enumerable(A, cap)
-    bits = _models_mask(alpha, A)
+    A, (bits,) = tables([alpha], cap, A)
     return [
         ConjunctionOfLiterals(A, subset_of_mask(A, m))
         for m in range(1 << len(A))
@@ -427,9 +437,7 @@ def adequate_dnf_set(alphas, cap: int = DEFAULT_SCOPE_CAP):
     alphas = list(alphas)
     if not alphas:
         raise ValueError("need at least one formula")
-    scope: Scope = frozenset()
-    for a in alphas:
-        scope = scope | atoms_of(a)
+    scope, _ = tables(alphas, cap)
     return scope, [dnf(a, scope, cap) for a in alphas]
 
 

@@ -626,9 +626,10 @@ class Decision:
     """Outcome of deciding the universal closure of a matrix.
 
     A refuting witness accompanies INVALID when the internal decider
-    produced one; external solvers report INVALID without a model.
-    ``validity.decide_validity`` adds the stochastic valuation it read off
-    that witness and checked to refute its formula.
+    produced one; external solvers report INVALID without a model.  Over a
+    ``VarTable`` with cells, ``decide_universal_linear`` also sets the
+    ``valuation`` of the witness's cell masses (``stochval.from_cells``),
+    which ``validity.decide_validity`` checks to refute its formula.
     """
 
     status: str
@@ -665,7 +666,8 @@ def decide_universal_linear(
             witness = table.assignment_of(values)
             if eval_formula(matrix, witness):  # pragma: no cover - decider self-check
                 raise AssertionError("witness fails to refute the matrix")
-            return Decision(INVALID, witness=witness)
+            valuation = stochval.from_cells(table.scope, table.points, values) if table.points else None
+            return Decision(INVALID, witness=witness, valuation=valuation)
     return Decision(VALID)
 
 

@@ -175,9 +175,8 @@ def prob(V: StochasticValuation, alpha: prop.PropFormula, cap: int = prop.DEFAUL
 
     Raises ``prop.ScopeCapError`` when ``alpha`` has more than ``cap`` atoms.
     """
-    B = prop.atoms_of(alpha)
+    B, (model_bits,) = prop.tables([alpha], cap)
     marg = marginal(V, B, cap)
-    model_bits = prop._models_mask(alpha, B)
     if model_bits.bit_count() < len(marg.mass):
         parts = (marg.mass_of_mask(m) for m in _set_bits(model_bits))
     else:
@@ -213,9 +212,8 @@ class ValuationAssignment:
         self._memo: dict = {}
 
     def __call__(self, alpha: prop.PropFormula) -> Fraction:
-        B = prop.atoms_of(alpha)
-        prop._check_enumerable(B, self.cap)
-        key = (B, prop._models_mask(alpha, B))
+        B, (bits,) = prop.tables([alpha], self.cap)
+        key = (B, bits)
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = prob(self.valuation, alpha, self.cap)
@@ -268,6 +266,14 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
     return StochasticValuation(carrier, FinDist.from_masks(carrier, masses))
 
 
+def from_cells(scope: Scope, points, values: Mapping[int, Fraction]) -> StochasticValuation:
+    """The valuation over ``scope`` with the mass ``values[c]`` of cell c
+    (0 when absent) on the subset whose bitmask is ``points[c]``."""
+    scope = frozenset(scope)
+    joint = FinDist.from_masks(scope, {m: values.get(c, ZERO) for c, m in enumerate(points)})
+    return StochasticValuation(scope, joint)
+
+
 def induced_from_valuation(v: Valuation, carrier: Scope) -> StochasticValuation:
     """The point-mass valuation concentrated on ``v`` restricted to the carrier."""
     carrier = frozenset(carrier)
@@ -300,13 +306,11 @@ def check_adams(P: ProbAssignment, pool: Iterable[prop.PropFormula]) -> AdamsRep
     P1: every value lies in [0,1].  P2: tautologies get probability 1.
     P3: classical entailment between pool formulas is monotone under P.
     P4: contradictory pairs are additive over disjunction.
+    Raises ``prop.ScopeCapError`` above ``prop.DEFAULT_SCOPE_CAP`` atoms.
     """
     pool = list(dict.fromkeys(pool))
-    scope: Scope = frozenset()
-    for f in pool:
-        scope = scope | prop.atoms_of(f)
-    full = (1 << (1 << len(scope))) - 1 if scope else 0
-    masks = [prop._models_mask(f, scope) if scope else 0 for f in pool]
+    scope, masks = prop.tables(pool)
+    full = (1 << (1 << len(scope))) - 1
     values = [P(f) for f in pool]
     violations = []
     for f, p in zip(pool, values):

@@ -12,7 +12,6 @@ input and returned with the verdict.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from . import ppl, prop, rcof, stochval
@@ -95,7 +94,7 @@ def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision
     formulas' cells, each formula variable the mass of the cells inside its
     models; a nonlinear one goes to the external-solver route as its
     ``field_sentence``.  An INVALID decision with a witness carries the
-    valuation read off it, checked to refute ``phi``.
+    valuation of its cell masses, checked to refute ``phi``.
     """
     config = config or Config()
     alphas = probability_formulas(phi)
@@ -108,9 +107,7 @@ def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision
         )
     except rcof.NonlinearTermError:
         decision = rcof.decide(field_sentence(phi, config.scope_cap), config)
-    if decision.status == rcof.INVALID and decision.witness is not None:
-        V = valuation_from_assignment(decision.witness, scope)
-        if ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):  # pragma: no cover - self-check
-            raise AssertionError("recovered witness does not refute the formula")
-        decision = replace(decision, valuation=V)
+    V = decision.valuation
+    if V is not None and ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):  # pragma: no cover - self-check
+        raise AssertionError("recovered witness does not refute the formula")
     return decision

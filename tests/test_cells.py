@@ -89,7 +89,9 @@ def test_seven_link_chain_has_fewer_cells_than_points():
 
 
 def _assert_refutes(decision, phi, scope):
+    # the decider's cell masses and the witness's point keys name one valuation
     V = validity.valuation_from_assignment(decision.witness, scope)
+    assert decision.valuation == V
     assert V == valuation_from_assignment_dense(decision.witness, scope)
     assert not ppl.ppl_sat(V, decision.witness, phi), ppl.to_text(phi)
 

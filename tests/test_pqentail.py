@@ -166,6 +166,16 @@ class TestMemo:
             assert all(stochval.prob(W, d) >= F(1, 2) for d in deltas)
             assert stochval.prob(W, alpha) < F(1, 2)
 
+    def test_hypothesis_order_and_duplicates_do_not_change_the_verdict(self):
+        pool = semantic_class_pool({1, 2})
+        t = pqentail.ThresholdPair(F(3, 4), F(1, 2))
+        for a, b in itertools.combinations(pool, 2):
+            ordered = prop.conj_all(sorted({a, b}, key=prop.to_text))
+            for alpha in pool:
+                expected = pqentail.hailperin_entails([ordered], alpha, t.p, t.q)
+                for deltas in ([a, b], [b, a], [b, a, b, a], [a, a, b]):
+                    assert pqentail.pq_entails(deltas, alpha, t) == expected
+
     def test_collapse_check_matches_the_reference_over_the_class_pool(self):
         # the pool, hypothesis sets and threshold pairs of test_03
         pool = semantic_class_pool({1, 2})

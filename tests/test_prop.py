@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,54 @@ class TestTruthTables:
         assert prop._models_mask(f, A) == prop._models_mask(prop.Implies(B1, B2), A)
         for U in prop.subsets_ascending(A):
             assert prop.evaluate(prop.Valuation(U, A), f) == (1 not in U or 2 in U)
+
+
+class TestTables:
+    def test_first_formulas_atom_set_is_the_scope_when_it_covers_the_rest(self):
+        first = prop.parse("B1 & B2 -> B3")
+        rest = [B1, prop.parse("B3 | !B2")]
+        A, tables = prop.tables([first, *rest])
+        assert A is prop.atoms_of(first)
+        assert tables == [models_mask_by_rows(f, A) for f in (first, *rest)]
+        A, tables = prop.tables([B1, B7, first])
+        assert A == {1, 2, 3, 7}
+        assert tables == [models_mask_by_rows(f, A) for f in (B1, B7, first)]
+
+    def test_given_scope_is_kept_and_a_stray_atom_is_refused(self):
+        A, tables = prop.tables([B1, B2], scope={1, 2, 7})
+        assert A == frozenset({1, 2, 7})
+        assert tables == [models_mask_by_rows(f, A) for f in (B1, B2)]
+        with pytest.raises(prop.ScopeError):
+            prop.tables([B1, B7], scope=frozenset({1, 2}))
+
+    def test_cap_enforced_with_and_without_a_scope(self):
+        wide = prop.conj_all(prop.Atom(k) for k in range(1, 18))
+        with pytest.raises(prop.ScopeCapError):
+            prop.tables([wide])
+        with pytest.raises(prop.ScopeCapError):
+            prop.tables([B1], scope=frozenset(range(1, 18)))
+        with pytest.raises(prop.ScopeCapError):
+            prop.tables([B1, B2, B3], cap=2)
+        assert len(prop.tables([wide], cap=17)[0]) == 17
+        assert len(prop.tables([B1], cap=17, scope=frozenset(range(1, 18)))[0]) == 17
+
+    def test_only_prop_computes_truth_tables(self):
+        # every other module enters the semantics through prop.tables
+        package = Path(prop.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "prop.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                named = (
+                    isinstance(node, ast.Attribute) and node.attr == "_models_mask"
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "_models_mask" for alias in node.names)
+                )
+                if named:
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 @given(formulas(), st.sets(st.integers(0, 6), max_size=4), st.booleans())

@@ -187,6 +187,11 @@ class TestCheckAdams:
         report = stochval.check_adams(table, [prop.parse("B1"), prop.parse("B1 | B2")])
         assert any(v.principle == "P3" for v in report.violations)
 
+    def test_pool_scope_is_capped(self):
+        pool = [prop.Atom(k) for k in range(1, 18)]
+        with pytest.raises(prop.ScopeCapError):
+            stochval.check_adams(lambda a: F(1, 2), pool)
+
     def test_additivity_violation_found(self):
         values = {
             prop.parse("B1"): F(1, 2),
