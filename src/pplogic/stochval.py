@@ -15,6 +15,7 @@ atom), which doubles as the canonical JSON serialization order.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,13 +176,7 @@ def prob(V: StochasticValuation, alpha: prop.PropFormula, cap: int = prop.DEFAUL
 
     Raises ``prop.ScopeCapError`` when ``alpha`` has more than ``cap`` atoms.
     """
-    B, (model_bits,) = prop.tables([alpha], cap)
-    marg = marginal(V, B, cap)
-    if model_bits.bit_count() < len(marg.mass):
-        parts = (marg.mass_of_mask(m) for m in _set_bits(model_bits))
-    else:
-        parts = (p for m, p in marg.mass if model_bits >> m & 1)
-    return sum(parts, ZERO)
+    return psv(V, cap)(alpha)
 
 
 def _set_bits(bits: int):
@@ -200,24 +195,25 @@ ProbAssignment = Callable[[prop.PropFormula], Fraction]
 
 
 class ValuationAssignment:
-    """The assignment alpha -> prob(V, alpha), memoized by (atoms, models),
-    so formulas with the same atoms and the same models share one entry.
-
-    Raises ``prop.ScopeCapError`` for a formula with more than ``cap`` atoms.
-    """
+    """The assignment alpha -> prob(V, alpha), read off its truth table by
+    ``of_table``.  Raises ``prop.ScopeCapError`` above ``cap`` atoms."""
 
     def __init__(self, V: StochasticValuation, cap: int = prop.DEFAULT_SCOPE_CAP):
         self.valuation = V
         self.cap = cap
-        self._memo: dict = {}
 
     def __call__(self, alpha: prop.PropFormula) -> Fraction:
-        B, (bits,) = prop.tables([alpha], self.cap)
-        key = (B, bits)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = prob(self.valuation, alpha, self.cap)
-        return got
+        B, (models,) = prop.tables([alpha], self.cap)
+        return self.of_table(B, models)
+
+    def of_table(self, A: Scope, models: int) -> Fraction:
+        """The mass of ``marginal(V, A)`` on the set bits of the truth table ``models``."""
+        marg = marginal(self.valuation, A, self.cap)
+        if models.bit_count() < len(marg.mass):
+            parts = (marg.mass_of_mask(m) for m in _set_bits(models))
+        else:
+            parts = (p for m, p in marg.mass if models >> m & 1)
+        return sum(parts, ZERO)
 
 
 class TableAssignment:
@@ -305,13 +301,19 @@ def check_adams(P: ProbAssignment, pool: Iterable[prop.PropFormula]) -> AdamsRep
 
     P1: every value lies in [0,1].  P2: tautologies get probability 1.
     P3: classical entailment between pool formulas is monotone under P.
-    P4: contradictory pairs are additive over disjunction.
+    P4: contradictory pairs are additive over disjunction: a
+    ``ValuationAssignment`` is asked ``of_table`` once per distinct union of
+    the pair's truth tables over the pool's scope, any other P is asked
+    ``P(prop.disj(fi, fj))`` for every pair.  P3 and P4 compare integers
+    over D, the lcm of the (rational) values' denominators.
     Raises ``prop.ScopeCapError`` above ``prop.DEFAULT_SCOPE_CAP`` atoms.
     """
     pool = list(dict.fromkeys(pool))
     scope, masks = prop.tables(pool)
     full = (1 << (1 << len(scope))) - 1
     values = [P(f) for f in pool]
+    D = math.lcm(*(p.denominator for p in values))
+    rows = [(f, m, p, p.numerator * (D // p.denominator)) for f, m, p in zip(pool, masks, values)]
     violations = []
     for f, p in zip(pool, values):
         if not (ZERO <= p <= ONE):
@@ -319,24 +321,21 @@ def check_adams(P: ProbAssignment, pool: Iterable[prop.PropFormula]) -> AdamsRep
     for f, m, p in zip(pool, masks, values):
         if m == full and p != ONE:
             violations.append(AdamsViolation("P2", (f,), f"tautology has P = {p}"))
-    for i, (fi, mi, pi) in enumerate(zip(pool, masks, values)):
-        for j, (fj, mj, pj) in enumerate(zip(pool, masks, values)):
-            if i == j:
+    for i, (fi, mi, pi, ni) in enumerate(rows):
+        for j, (fj, mj, pj, nj) in enumerate(rows):
+            if mi & ~mj == 0 and ni > nj and i != j:
+                violations.append(AdamsViolation("P3", (fi, fj), f"entails yet {pi} > {pj}"))
+    unions = {} if isinstance(P, ValuationAssignment) else None
+    for fi, mi, pi, ni in rows:
+        for fj, mj, pj, nj in rows:
+            if mi & mj:
                 continue
-            if mi & ~mj == 0 and pi > pj:
-                violations.append(
-                    AdamsViolation("P3", (fi, fj), f"entails yet {pi} > {pj}")
-                )
-    for i, (fi, mi, pi) in enumerate(zip(pool, masks, values)):
-        for fj, mj, pj in zip(pool, masks, values):
-            if mi & mj == 0:
+            if unions is None:
                 both = P(prop.disj(fi, fj))
-                if both != pi + pj:
-                    violations.append(
-                        AdamsViolation(
-                            "P4", (fi, fj), f"P(or) = {both} but P sum = {pi + pj}"
-                        )
-                    )
+            elif (both := unions.get(mi | mj)) is None:
+                both = unions[mi | mj] = P.of_table(scope, mi | mj)
+            if both.numerator * D != (ni + nj) * both.denominator:
+                violations.append(AdamsViolation("P4", (fi, fj), f"P(or) = {both} but P sum = {pi + pj}"))
     return AdamsReport(violations)
 
 

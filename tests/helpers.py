@@ -145,6 +145,43 @@ def marginal_by_subsets(V: stochval.StochasticValuation, A) -> stochval.FinDist:
     return stochval.FinDist.from_masks(A, masses)
 
 
+def check_adams_by_formulas(P, pool) -> stochval.AdamsReport:
+    """Reference for ``stochval.check_adams``: asks P for ``prop.disj(fi, fj)``
+    on every disjoint pair, whatever P is, and compares ``Fraction`` sums."""
+    ZERO, ONE = Fraction(0), Fraction(1)
+    AdamsViolation = stochval.AdamsViolation
+    pool = list(dict.fromkeys(pool))
+    scope, masks = prop.tables(pool)
+    full = (1 << (1 << len(scope))) - 1
+    values = [P(f) for f in pool]
+    violations = []
+    for f, p in zip(pool, values):
+        if not (ZERO <= p <= ONE):
+            violations.append(AdamsViolation("P1", (f,), f"P = {p} outside [0,1]"))
+    for f, m, p in zip(pool, masks, values):
+        if m == full and p != ONE:
+            violations.append(AdamsViolation("P2", (f,), f"tautology has P = {p}"))
+    for i, (fi, mi, pi) in enumerate(zip(pool, masks, values)):
+        for j, (fj, mj, pj) in enumerate(zip(pool, masks, values)):
+            if i == j:
+                continue
+            if mi & ~mj == 0 and pi > pj:
+                violations.append(
+                    AdamsViolation("P3", (fi, fj), f"entails yet {pi} > {pj}")
+                )
+    for i, (fi, mi, pi) in enumerate(zip(pool, masks, values)):
+        for fj, mj, pj in zip(pool, masks, values):
+            if mi & mj == 0:
+                both = P(prop.disj(fi, fj))
+                if both != pi + pj:
+                    violations.append(
+                        AdamsViolation(
+                            "P4", (fi, fj), f"P(or) = {both} but P sum = {pi + pj}"
+                        )
+                    )
+    return stochval.AdamsReport(violations)
+
+
 def distribution_rows_by_points(alphas, scope, cap: int = prop.DEFAULT_SCOPE_CAP):
     """Reference for ``ppl.distribution_rows``: the point encoding the cells
     replaced, one column per subset of the scope in ascending mask order,

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from pplogic import prop, stochval
 
-from .helpers import marginal_by_subsets, random_formula, random_valuation, semantic_class_pool
+from .helpers import (
+    check_adams_by_formulas,
+    marginal_by_subsets,
+    random_formula,
+    random_valuation,
+    semantic_class_pool,
+)
 from .strategies import formulas, valuations
 
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -175,10 +181,12 @@ class TestCheckAdams:
     def test_range_violation_found(self):
         report = stochval.check_adams(lambda a: F(2), [B1])
         assert any(v.principle == "P1" for v in report.violations)
+        assert report == check_adams_by_formulas(lambda a: F(2), [B1])
 
     def test_tautology_violation_found(self):
         report = stochval.check_adams(lambda a: F(1, 2), [prop.parse("B1 | !B1")])
         assert any(v.principle == "P2" for v in report.violations)
+        assert report == check_adams_by_formulas(lambda a: F(1, 2), [prop.parse("B1 | !B1")])
 
     def test_monotonicity_violation_found(self):
         table = stochval.TableAssignment(
@@ -186,6 +194,7 @@ class TestCheckAdams:
         )
         report = stochval.check_adams(table, [prop.parse("B1"), prop.parse("B1 | B2")])
         assert any(v.principle == "P3" for v in report.violations)
+        assert report == check_adams_by_formulas(table, [prop.parse("B1"), prop.parse("B1 | B2")])
 
     def test_pool_scope_is_capped(self):
         pool = [prop.Atom(k) for k in range(1, 18)]
@@ -202,6 +211,99 @@ class TestCheckAdams:
             return values.get(alpha, F(1))
         report = stochval.check_adams(P, [prop.parse("B1"), prop.parse("!B1")])
         assert any(v.principle == "P4" for v in report.violations)
+        assert report == check_adams_by_formulas(P, [prop.parse("B1"), prop.parse("!B1")])
+
+
+class OffOnOneTable(stochval.ValuationAssignment):
+    """psv(V) with 1/64 added on one (scope, truth table) pair."""
+
+    def __init__(self, V, scope, models):
+        super().__init__(V)
+        self.target = (frozenset(scope), models)
+
+    def of_table(self, A, models):
+        got = super().of_table(A, models)
+        return got + F(1, 64) if (A, models) == self.target else got
+
+
+class TestCheckAdamsAgainstFormulas:
+    """``check_adams`` against ``check_adams_by_formulas``, the formula-only
+    reference: equal reports, violations in the same order and text."""
+
+    def test_class_pools_under_seeded_valuations(self):
+        rng = random.Random(23)
+        pools = {}
+        sizes = [1] * 24 + [2] * 28 + [3] * 8
+        rng.shuffle(sizes)
+        for size in sizes:
+            V = random_valuation(rng, rng.sample([1, 2, 3], size))
+            # the pool's scope is the carrier or, now and then, another one,
+            # so atoms outside the carrier act as fair coins
+            scope = V.carrier if rng.random() < 0.7 else frozenset(rng.sample([1, 2, 3], rng.randint(1, 3)))
+            if scope not in pools:
+                pools[scope] = semantic_class_pool(scope)
+            P = stochval.psv(V)
+            assert stochval.check_adams(P, pools[scope]) == check_adams_by_formulas(P, pools[scope])
+
+    def test_perturbed_valuation_as_a_lambda(self):
+        rng = random.Random(29)
+        pool = semantic_class_pool({1, 2})
+        for _ in range(5):
+            base = stochval.psv(random_valuation(rng, {1, 2}))
+            shift = {f: F(rng.randint(-9, 9), 16) for f in rng.sample(pool, 4)}
+            shift[rng.choice(pool)] = F(3, 2)
+            P = lambda a, base=base, shift=shift: base(a) + shift.get(a, 0)
+            report = stochval.check_adams(P, pool)
+            assert {"P1", "P3", "P4"} <= {v.principle for v in report.violations}
+            assert report == check_adams_by_formulas(P, pool)
+
+    def test_an_off_table_is_caught_on_its_unions(self):
+        scope = frozenset({1, 2})
+        _, (target,) = prop.tables([prop.parse("B1 | B2")], scope=scope)
+        pool = semantic_class_pool(scope)
+        _, masks = prop.tables(pool)
+        table_of = dict(zip(pool, masks))
+        rng = random.Random(31)
+        for _ in range(3):
+            P = OffOnOneTable(random_valuation(rng, scope), scope, target)
+            report = stochval.check_adams(P, pool)
+            assert report == check_adams_by_formulas(P, pool)
+            # every P4 violation has the off table as its union or, through
+            # P's own value, as one of its two formulas
+            tables = [
+                (table_of[fi], table_of[fj], table_of[fi] | table_of[fj])
+                for v in report.violations if v.principle == "P4"
+                for fi, fj in [v.formulas]
+            ]
+            assert any(union == target for _, _, union in tables)
+            assert all(target in t for t in tables)
+
+    def test_valuation_route_builds_no_disjunction(self, monkeypatch):
+        pool = semantic_class_pool({1, 2, 3})
+        V = random_valuation(random.Random(37), {1, 2, 3})
+
+        def no_disj(*args):
+            raise AssertionError("check_adams built a disjunction")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(stochval.prop, "disj", no_disj)
+            assert stochval.check_adams(stochval.psv(V), pool).ok
+
+        def recorder():
+            asked = []
+
+            def P(alpha):
+                asked.append(alpha)
+                return stochval.psv(V)(alpha)
+
+            return P, asked
+
+        P, asked = recorder()
+        assert stochval.check_adams(P, pool).ok
+        P_ref, asked_ref = recorder()
+        check_adams_by_formulas(P_ref, pool)
+        assert asked == asked_ref
+        assert len(asked) > len(pool)
 
 
 class TestCheckConsistency:
