@@ -14,12 +14,13 @@ atom), which doubles as the canonical JSON serialization order.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
 from . import prop
@@ -50,7 +51,6 @@ class FinDist:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.scope, self.mass)))
-        total = ZERO
         seen = -1
         for m, p in self.mass:
             if not isinstance(p, Fraction):
@@ -59,14 +59,17 @@ class FinDist:
                 raise DistributionError(f"bitmask {m} out of range for scope {sorted(self.scope)}")
             if m <= seen:
                 raise DistributionError("masks must be strictly ascending")
-            if not (ZERO <= p <= ONE):
+            if not (0 <= p.numerator <= p.denominator):
                 raise DistributionError(f"mass {p} for {m} outside [0,1]")
-            if p == ZERO:
+            if p.numerator == 0:
                 raise DistributionError("zero masses must be dropped")
             seen = m
-            total += p
-        if total != ONE:
-            raise DistributionError(f"masses sum to {total}, not 1")
+        D, weights = _over_lcm(p for _, p in self.mass)
+        total = sum(weights)
+        if total != D:
+            raise DistributionError(f"masses sum to {Fraction(total, D)}, not 1")
+        # the masses as integer weights over D, keyed by mask
+        object.__setattr__(self, "_weights", (D, dict(zip((m for m, _ in self.mass), weights))))
 
     def __hash__(self):
         return self._hash
@@ -87,12 +90,19 @@ class FinDist:
         scope = frozenset(scope)
         return FinDist.from_masks(scope, {prop.mask_of(scope, U): ONE})
 
-    @cached_property
-    def _by_mask(self) -> dict:
-        return dict(self.mass)
-
     def mass_of_mask(self, m: int) -> Fraction:
-        return self._by_mask.get(m, ZERO)
+        D, weights = self._weights
+        return Fraction(weights.get(m, 0), D)
+
+    def mass_of_table(self, models: int) -> Fraction:
+        """The mass on the set bits of the truth table ``models``: a sum of
+        integer weights, one ``Fraction`` at the end."""
+        D, weights = self._weights
+        if models.bit_count() < len(weights):
+            total = sum(weights.get(m, 0) for m in _set_bits(models))
+        else:
+            total = sum(w for m, w in weights.items() if models >> m & 1)
+        return Fraction(total, D)
 
     def mass_of(self, U: frozenset) -> Fraction:
         return self.mass_of_mask(prop.mask_of(self.scope, U))
@@ -179,6 +189,13 @@ def prob(V: StochasticValuation, alpha: prop.PropFormula, cap: int = prop.DEFAUL
     return psv(V, cap)(alpha)
 
 
+def _over_lcm(values: Iterable[Fraction]) -> tuple:
+    """``(D, [p * D for p in values])``, D the lcm of the denominators."""
+    values = list(values)
+    D = math.lcm(*(p.denominator for p in values))
+    return D, [p.numerator * (D // p.denominator) for p in values]
+
+
 def _set_bits(bits: int):
     """The indices of the set bits of ``bits``, ascending."""
     text = format(bits, "b")[::-1]
@@ -208,12 +225,7 @@ class ValuationAssignment:
 
     def of_table(self, A: Scope, models: int) -> Fraction:
         """The mass of ``marginal(V, A)`` on the set bits of the truth table ``models``."""
-        marg = marginal(self.valuation, A, self.cap)
-        if models.bit_count() < len(marg.mass):
-            parts = (marg.mass_of_mask(m) for m in _set_bits(models))
-        else:
-            parts = (p for m, p in marg.mass if models >> m & 1)
-        return sum(parts, ZERO)
+        return marginal(self.valuation, A, self.cap).mass_of_table(models)
 
 
 class TableAssignment:
@@ -241,16 +253,23 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
     """The unique valuation whose point-formula probabilities match ``P``.
 
     The joint mass of each subset U of the carrier is read off as the
-    probability P gives to the conjunction of literals identifying U.
+    probability P gives to the conjunction of literals identifying U.  A
+    ``ValuationAssignment`` is asked ``of_table(carrier, 1 << m)`` at point
+    m, which is what it computes for that formula: its atoms are the
+    carrier and its truth table over them is ``1 << m``.
     """
     carrier = frozenset(carrier)
     if not carrier:
         raise prop.ScopeError("carrier must be non-empty")
+    if isinstance(P, ValuationAssignment):
+        points = (P.of_table(carrier, 1 << m) for m in range(1 << len(carrier)))
+    else:
+        points = (P(prop.phi(carrier, U)) for U in prop.subsets_ascending(carrier))
     masses = {}
     total = ZERO
-    for m, U in enumerate(prop.subsets_ascending(carrier)):
-        p = P(prop.phi(carrier, U))
+    for m, p in enumerate(points):
         if not (ZERO <= p <= ONE):
+            U = prop.subset_of_mask(carrier, m)
             raise NotAProbabilityAssignment(
                 f"P({prop.to_text(prop.phi(carrier, U))}) = {p} outside [0,1]"
             )
@@ -301,41 +320,62 @@ def check_adams(P: ProbAssignment, pool: Iterable[prop.PropFormula]) -> AdamsRep
 
     P1: every value lies in [0,1].  P2: tautologies get probability 1.
     P3: classical entailment between pool formulas is monotone under P.
-    P4: contradictory pairs are additive over disjunction: a
-    ``ValuationAssignment`` is asked ``of_table`` once per distinct union of
-    the pair's truth tables over the pool's scope, any other P is asked
-    ``P(prop.disj(fi, fj))`` for every pair.  P3 and P4 compare integers
-    over D, the lcm of the (rational) values' denominators.
+    P4: contradictory pairs are additive over disjunction.
+
+    The pairs are found bit-parallel: for each truth-table row over the
+    pool's scope, the set of pool indices true on it.  The formulas whose
+    tables contain f's are the AND of the rows of f's set bits, those
+    disjoint from f the complement of their OR; P3 keeps those of smaller
+    value through a prefix of the pool in value order.  For P4 a
+    ``ValuationAssignment`` whose cap admits the pool's scope is asked
+    ``of_table`` once per distinct union of the pair's truth tables, any
+    other P ``P(prop.disj(fi, fj))`` for every pair.  P3 and P4 compare
+    integers over D, the lcm of the (rational) values' denominators.
     Raises ``prop.ScopeCapError`` above ``prop.DEFAULT_SCOPE_CAP`` atoms.
     """
     pool = list(dict.fromkeys(pool))
     scope, masks = prop.tables(pool)
     full = (1 << (1 << len(scope))) - 1
     values = [P(f) for f in pool]
-    D = math.lcm(*(p.denominator for p in values))
-    rows = [(f, m, p, p.numerator * (D // p.denominator)) for f, m, p in zip(pool, masks, values)]
+    D, ns = _over_lcm(values)
     violations = []
-    for f, p in zip(pool, values):
-        if not (ZERO <= p <= ONE):
+    for f, p, n in zip(pool, values, ns):
+        if not (0 <= n <= D):
             violations.append(AdamsViolation("P1", (f,), f"P = {p} outside [0,1]"))
     for f, m, p in zip(pool, masks, values):
         if m == full and p != ONE:
             violations.append(AdamsViolation("P2", (f,), f"tautology has P = {p}"))
-    for i, (fi, mi, pi, ni) in enumerate(rows):
-        for j, (fj, mj, pj, nj) in enumerate(rows):
-            if mi & ~mj == 0 and ni > nj and i != j:
-                violations.append(AdamsViolation("P3", (fi, fj), f"entails yet {pi} > {pj}"))
-    unions = {} if isinstance(P, ValuationAssignment) else None
-    for fi, mi, pi, ni in rows:
-        for fj, mj, pj, nj in rows:
-            if mi & mj:
-                continue
+    everyone = (1 << len(pool)) - 1
+    rows = [0] * (1 << len(scope))  # row r: the pool indices whose table holds r
+    for i, m in enumerate(masks):
+        for r in _set_bits(m):
+            rows[r] |= 1 << i
+    order = sorted(range(len(pool)), key=ns.__getitem__)
+    ascending = [ns[i] for i in order]
+    below = [0]  # below[k]: the indices of the k smallest values
+    for i in order:
+        below.append(below[-1] | 1 << i)
+    for i, (fi, mi, ni) in enumerate(zip(pool, masks, ns)):
+        sup = everyone  # the indices whose tables contain mi
+        for r in _set_bits(mi):
+            sup &= rows[r]
+        # strictly smaller values only, so i itself never appears
+        for j in _set_bits(sup & below[bisect.bisect_left(ascending, ni)]):
+            violations.append(AdamsViolation("P3", (fi, pool[j]), f"entails yet {values[i]} > {values[j]}"))
+    unions = {} if isinstance(P, ValuationAssignment) and len(scope) <= P.cap else None
+    for i, (fi, mi, ni) in enumerate(zip(pool, masks, ns)):
+        hit = 0  # the indices whose tables meet mi
+        for r in _set_bits(mi):
+            hit |= rows[r]
+        for j in _set_bits(everyone & ~hit):
             if unions is None:
-                both = P(prop.disj(fi, fj))
-            elif (both := unions.get(mi | mj)) is None:
-                both = unions[mi | mj] = P.of_table(scope, mi | mj)
-            if both.numerator * D != (ni + nj) * both.denominator:
-                violations.append(AdamsViolation("P4", (fi, fj), f"P(or) = {both} but P sum = {pi + pj}"))
+                both = P(prop.disj(fi, pool[j]))
+            elif (both := unions.get(mi | masks[j])) is None:
+                both = unions[mi | masks[j]] = P.of_table(scope, mi | masks[j])
+            if both.numerator * D != (ni + ns[j]) * both.denominator:
+                violations.append(
+                    AdamsViolation("P4", (fi, pool[j]), f"P(or) = {both} but P sum = {values[i] + values[j]}")
+                )
     return AdamsReport(violations)
 
 

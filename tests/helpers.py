@@ -182,6 +182,33 @@ def check_adams_by_formulas(P, pool) -> stochval.AdamsReport:
     return stochval.AdamsReport(violations)
 
 
+def findist_checks_by_fractions(scope, mass) -> int:
+    """Reference for ``stochval.FinDist.__post_init__``: the same checks in
+    the same order over ``Fraction`` masses, summed as ``Fraction``s.
+    Returns the hash a valid distribution gets."""
+    ZERO, ONE = Fraction(0), Fraction(1)
+    DistributionError = stochval.DistributionError
+    hashed = hash((scope, mass))
+    total = ZERO
+    seen = -1
+    for m, p in mass:
+        if not isinstance(p, Fraction):
+            raise DistributionError(f"mass for {m} is not an exact rational: {p!r}")
+        if not (0 <= m < (1 << len(scope))):
+            raise DistributionError(f"bitmask {m} out of range for scope {sorted(scope)}")
+        if m <= seen:
+            raise DistributionError("masks must be strictly ascending")
+        if not (ZERO <= p <= ONE):
+            raise DistributionError(f"mass {p} for {m} outside [0,1]")
+        if p == ZERO:
+            raise DistributionError("zero masses must be dropped")
+        seen = m
+        total += p
+    if total != ONE:
+        raise DistributionError(f"masses sum to {total}, not 1")
+    return hashed
+
+
 def distribution_rows_by_points(alphas, scope, cap: int = prop.DEFAULT_SCOPE_CAP):
     """Reference for ``ppl.distribution_rows``: the point encoding the cells
     replaced, one column per subset of the scope in ascending mask order,

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from pplogic import prop, stochval
 
 from .helpers import (
     check_adams_by_formulas,
+    findist_checks_by_fractions,
     marginal_by_subsets,
     random_formula,
     random_valuation,
@@ -42,6 +44,49 @@ class TestFinDist:
         d = stochval.FinDist.from_masks(frozenset({1}), {0: F(0), 1: F(1)})
         assert d.mass == ((1, F(1)),)
         assert d.mass_of_mask(0) == 0
+
+    def test_malformed_masses_fail_as_the_fraction_reference_does(self):
+        one, two = frozenset({1}), frozenset({1, 2})
+        corpus = [
+            (one, ((0, 0.5), (1, F(1, 2)))),  # not a Fraction
+            (one, ((0, F(1, 2)), (1, 1))),
+            (one, ((2, F(1)),)),  # mask out of range
+            (one, ((-1, F(1, 2)), (0, F(1, 2)))),
+            (two, ((1, F(1, 2)), (0, F(1, 2)))),  # unsorted
+            (two, ((1, F(1, 2)), (1, F(1, 2)))),  # duplicate
+            (one, ((0, F(-1, 2)), (1, F(3, 2)))),  # negative
+            (one, ((0, F(3, 2)),)),  # above 1
+            (one, ((0, F(0)), (1, F(1)))),  # zero
+            (one, ((0, F(1, 2)), (1, F(1, 3)))),  # bad sum
+            (two, ((0, F(1, 6)), (1, F(1, 10)), (3, F(1, 15)))),
+            (one, ()),
+            # two defects: the first one reached is reported
+            (two, ((3, F(3, 2)), (1, F(0)))),
+            (two, ((0, F(1, 4)), (4, 1))),
+            (two, ((0, F(1, 3)), (2, F(1, 3)), (1, F(1, 3)))),
+            (two, ((0, F(1, 2)), (1, F(0)), (2, F(3, 4)))),
+        ]
+        for scope, mass in corpus:
+            with pytest.raises(stochval.DistributionError) as expected:
+                findist_checks_by_fractions(scope, mass)
+            with pytest.raises(stochval.DistributionError) as got:
+                stochval.FinDist(scope, mass)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_valid_masses_keep_their_pairs_and_hash(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            carrier = rng.sample(range(1, 8), rng.randint(1, 5))
+            mass = random_valuation(rng, carrier, max_numerator=rng.choice([1, 3, 1000])).joint.mass
+            scope = frozenset(carrier)
+            d = stochval.FinDist(scope, mass)
+            assert d.mass == mass
+            assert hash(d) == findist_checks_by_fractions(scope, mass)
+            for m in range(1 << len(scope)):
+                assert d.mass_of_mask(m) == dict(mass).get(m, 0)
+            models = rng.getrandbits(1 << len(scope))
+            assert d.mass_of_table(models) == sum((p for m, p in mass if models >> m & 1), F(0))
 
 
 class TestMarginal:
@@ -130,6 +175,42 @@ class TestGaloisMaps:
             W = stochval.svp(table, A)
             for U in prop.subsets_ascending(A):
                 assert stochval.psv(W)(prop.phi(A, U)) == table(prop.phi(A, U))
+
+    def test_svp_by_table_matches_svp_by_formulas(self):
+        rng = random.Random(43)
+        for size in [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3]:
+            V = random_valuation(rng, rng.sample(range(1, 12), size))
+            # the carrier itself, or one with fair-coin atoms beyond it
+            for C in (V.carrier, V.carrier | frozenset(rng.sample(range(12, 15), rng.randint(1, 2)))):
+                if len(C) > 9:
+                    continue
+                P = stochval.psv(V)
+                assert stochval.svp(P, C) == stochval.svp(lambda f, P=P: P(f), C)
+
+    def test_svp_above_cap_fails_as_by_formulas(self):
+        V = random_valuation(random.Random(47), {1, 2})
+        for cap, C in ((2, frozenset({1, 2, 3})), (1, frozenset({1, 2})), (16, frozenset(range(1, 18)))):
+            P = stochval.psv(V, cap)
+            with pytest.raises(prop.ScopeCapError) as expected:
+                stochval.svp(lambda f, P=P: P(f), C)
+            with pytest.raises(prop.ScopeCapError) as got:
+                stochval.svp(P, C)
+            assert str(got.value) == str(expected.value)
+
+    def test_svp_by_table_builds_no_point_formula(self, monkeypatch):
+        V = random_valuation(random.Random(53), {1, 2, 3, 4})
+
+        def no_phi(*args):
+            raise AssertionError("svp built a point formula")
+
+        before = prop._models_mask.cache_info()
+        with monkeypatch.context() as patched:
+            patched.setattr(stochval.prop, "phi", no_phi)
+            wider = V.carrier | {5}
+            back = stochval.svp(stochval.psv(V), wider)
+        assert back == stochval.StochasticValuation(wider, stochval.marginal(V, wider))
+        after = prop._models_mask.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
     def test_psv_honours_its_cap(self):
         carrier = frozenset(range(1, 18))
@@ -277,6 +358,69 @@ class TestCheckAdamsAgainstFormulas:
             ]
             assert any(union == target for _, _, union in tables)
             assert all(target in t for t in tables)
+
+    def test_full_three_atom_class_pools(self):
+        rng = random.Random(59)
+        scope = frozenset({1, 2, 3})
+        pool = semantic_class_pool(scope)
+        # complete it with the disjunction of its points for each class not reached
+        _, masks = prop.tables(pool, scope=scope)
+        for t in sorted(set(range(1, 256)) - set(masks)):
+            points = [prop.phi(scope, prop.subset_of_mask(scope, m)) for m in range(8) if t >> m & 1]
+            pool.append(functools.reduce(prop.disj, points))
+        assert len(pool) == 256
+        for carrier in ({1, 2, 3}, {1, 2, 3}, {2, 3}, {1, 3, 4}):
+            P = stochval.psv(random_valuation(rng, carrier))
+            report = stochval.check_adams(P, pool)
+            assert report.ok
+            assert report == check_adams_by_formulas(P, pool)
+
+    def test_pools_with_equivalent_formulas(self):
+        pool = [prop.parse(t) for t in (
+            "B1 & !B1", "B2", "B1 | !B1", "B2 & !B2", "!!B2", "B2 -> B2", "B1", "!B2", "B1 | B2",
+        )]
+        rng = random.Random(61)
+        for _ in range(6):
+            base = stochval.psv(random_valuation(rng, {1, 2}))
+            P = lambda a, base=base: base(a)
+            assert stochval.check_adams(base, pool) == check_adams_by_formulas(base, pool)
+            assert stochval.check_adams(base, pool).ok
+            assert stochval.check_adams(P, pool) == check_adams_by_formulas(P, pool)
+            # equal tables, values set apart: P3 both ways round, P4 on the contradictions
+            shift = {pool[4]: F(1, 8), pool[5]: F(-1, 4), pool[3]: F(1, 16)}
+            Q = lambda a, base=base, shift=shift: base(a) + shift.get(a, 0)
+            report = stochval.check_adams(Q, pool)
+            assert {"P2", "P3", "P4"} <= {v.principle for v in report.violations}
+            assert report == check_adams_by_formulas(Q, pool)
+
+    def test_perturbed_three_atom_pool(self):
+        rng = random.Random(67)
+        pool = semantic_class_pool({1, 2, 3})
+        for _ in range(2):
+            base = stochval.psv(random_valuation(rng, {1, 2, 3}))
+            shift = {f: F(rng.randint(-9, 9), 32) for f in rng.sample(pool, 12)}
+            shift[rng.choice(pool)] = F(-3, 2)
+            P = lambda a, base=base, shift=shift: base(a) + shift.get(a, 0)
+            report = stochval.check_adams(P, pool)
+            assert {"P1", "P3", "P4"} <= {v.principle for v in report.violations}
+            assert report == check_adams_by_formulas(P, pool)
+
+    def test_an_off_table_over_three_atoms(self):
+        scope = frozenset({1, 2, 3})
+        pool = semantic_class_pool(scope)
+        _, (target,) = prop.tables([prop.parse("B1 | B2 & !B3")], scope=scope)
+        P = OffOnOneTable(random_valuation(random.Random(71), scope), scope, target)
+        report = stochval.check_adams(P, pool)
+        assert not report.ok
+        assert report == check_adams_by_formulas(P, pool)
+
+    def test_union_route_honours_the_cap(self):
+        P = stochval.psv(random_valuation(random.Random(73), {2, 3}), cap=1)
+        B3 = prop.Atom(3)
+        for pool in ([B2, B3], [B2, B3, prop.Not(B2)]):
+            report = stochval.check_adams(P, pool)
+            assert report.ok
+            assert report == check_adams_by_formulas(P, pool)
 
     def test_valuation_route_builds_no_disjunction(self, monkeypatch):
         pool = semantic_class_pool({1, 2, 3})
