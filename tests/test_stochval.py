@@ -405,6 +405,36 @@ class TestCheckAdamsAgainstFormulas:
             assert {"P1", "P3", "P4"} <= {v.principle for v in report.violations}
             assert report == check_adams_by_formulas(P, pool)
 
+    def test_sparse_wide_pools(self):
+        # a few formulas over many atoms: the pair search tests each pair
+        rng = random.Random(73)
+        atoms = range(1, 11)
+        for _ in range(3):
+            pool = [random_formula(rng, atoms, 4) for _ in range(12)]
+            pool += [prop.parse("B1 & !B1"), prop.parse("B2 | !B2"), B2, prop.parse("!!B2"), prop.Not(B2)]
+            base = stochval.psv(random_valuation(rng, atoms))
+            assert stochval.check_adams(base, pool) == check_adams_by_formulas(base, pool)
+            shift = {f: F(rng.randint(-9, 9), 32) for f in rng.sample(pool, 8)}
+            shift[pool[-3]] = F(1, 8)  # B2 above its equivalent !!B2
+            shift[pool[-5]] = F(1, 16)  # the contradiction off 0, P4 with itself
+            shift[pool[-4]] = F(-1, 4)  # the tautology below 1
+            shift[rng.choice(pool[:12])] = F(-3, 2)
+            P = lambda a, base=base, shift=shift: base(a) + shift.get(a, 0)
+            report = stochval.check_adams(P, pool)
+            assert {"P1", "P2", "P3", "P4"} <= {v.principle for v in report.violations}
+            assert report == check_adams_by_formulas(P, pool)
+
+    @pytest.mark.parametrize("width", [2, 4, 8, 16])
+    def test_pair_search_on_each_side_of_the_choice(self, width):
+        # up to 2 * width tables the pairs are tested one by one, above it
+        # the tables are transposed into rows
+        rng = random.Random(width)
+        for k in range(1, 3 * width + 2):
+            masks = [rng.choice([0, (1 << width) - 1, rng.getrandbits(width)]) for _ in range(k)]
+            containing = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks]
+            disjoint = [sum(1 << j for j, mj in enumerate(masks) if mi & mj == 0) for mi in masks]
+            assert stochval._containing_and_disjoint(masks, width) == (containing, disjoint)
+
     def test_an_off_table_over_three_atoms(self):
         scope = frozenset({1, 2, 3})
         pool = semantic_class_pool(scope)
