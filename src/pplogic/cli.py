@@ -168,8 +168,8 @@ def _cmd_galois_demo(args) -> int:
     V = _load_valuation(args.valuation)
     back = stochval.svp(stochval.psv(V, args.scope_cap), V.carrier)
     points = {
-        prop.to_text(prop.phi(V.carrier, U)): str(back.joint.mass_of_mask(m))
-        for m, U in enumerate(prop.subsets_ascending(V.carrier))
+        prop.phi_text(V.carrier, m): str(back.joint.mass_of_mask(m))
+        for m in range(1 << len(V.carrier))
     }
     round_trip = back == V
     if args.fmt == "json":

@@ -18,11 +18,17 @@ monotonicity shrinks the constraint region as the subset grows, and any
 witnessing subset implies the full set witnesses too.
 
 A threshold system depends on the formulas only through their truth tables
-over A: two hypothesis lists whose tables agree pose the same system.  So
-the refutation is memoized on (A, the hypotheses' tables, the conclusion's
-table, p, q) in one bounded memo of 4,096 systems, and each distinct system
-is encoded and decided once while it stays there.  Thresholds and the scope
-cap are checked on every call, before the memo is asked.
+over A, and those tables depend on A only through its size: table bit m
+reads the k-th smallest atom of A from bit k of m.  So the refutation is
+memoized on (|A|, the hypotheses' tables, the conclusion's table, p, q) in
+one bounded memo of 4,096 systems, and each distinct system is encoded and
+decided once while it stays there; formulas over {B2, B3} and {B5, B9}
+with equal tables pose one system.  The memo keeps the feasible point's
+cell masses, and only ``find_refuting_valuation`` turns them into a
+valuation over A; the yes/no deciders build none.  ``pq_entails`` ANDs the
+hypotheses' tables, so it builds no conjunction and the empty hypothesis
+set adds no atom to A.  Thresholds and the scope cap are checked on every
+call, before the memo is asked.
 """
 
 from __future__ import annotations
@@ -87,28 +93,35 @@ def find_refuting_valuation(
     a carrier-A valuation with each cell's mass on its lowest subset.  Each
     distinct system is decided once while it stays in a bounded memo.
     """
-    deltas = list(deltas)
+    A, masses = _refutation(deltas, alpha, p, q, cap)
+    return None if masses is None else stochval.from_cells(A, *masses)
+
+
+def _refutation(deltas, alpha, p, q, cap: int) -> tuple:
+    """``(A, the memo's refutation)`` for ``find_refuting_valuation`` and
+    ``hailperin_entails``, after the range check of p and q."""
     p, q = Fraction(p), Fraction(q)
     for value, name in ((p, "p"), (q, "q")):
         if not (ZERO <= value <= ONE):
             raise ValueError(f"threshold {name}={value} outside [0,1]")
-    # the conclusion first: its atom set, shared across calls, is the memo's scope key
     A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
-    return _refuting_valuation(A, tuple(hypotheses), conclusion, p, q)
+    return A, _refuting_masses(len(A), tuple(hypotheses), conclusion, p, q)
 
 
 @lru_cache(maxsize=_SYSTEMS)
-def _refuting_valuation(
-    A: prop.Scope, hypotheses: tuple, conclusion: int, p: Fraction, q: Fraction
-) -> Optional[stochval.StochasticValuation]:
-    """The refutation of ``find_refuting_valuation`` for the formulas' truth
-    tables over A; the valuation returned is frozen, so callers share it."""
-    atoms, sums, points = ppl.cell_rows([*hypotheses, conclusion], len(A))
+def _refuting_masses(
+    n: int, hypotheses: tuple, conclusion: int, p: Fraction, q: Fraction
+) -> Optional[tuple]:
+    """The refutation of ``find_refuting_valuation`` for truth tables over
+    any scope of n atoms: ``(points, values)``, cell c's mass ``values[c]``
+    (0 when absent) on the subset whose bitmask is ``points[c]``, or None.
+    Callers share the result and must not mutate it."""
+    atoms, sums, points = ppl.cell_rows([*hypotheses, conclusion], n)
     for coeffs in sums[:-1]:  # p - sum <= 0
         atoms.append(rcof.LinearAtom.make({c: -v for c, v in coeffs.items()}, p, rcof.REL_LE))
     atoms.append(rcof.LinearAtom.make(sums[-1], -q, rcof.REL_LT))  # sum - q < 0
     values = rcof.fm_feasible(atoms)
-    return None if values is None else stochval.from_cells(A, points, values)
+    return None if values is None else (tuple(points), values)
 
 
 def hailperin_entails(
@@ -123,7 +136,7 @@ def hailperin_entails(
 
     Any p, q in [0,1] are accepted.
     """
-    return find_refuting_valuation(deltas, alpha, p, q, cap) is None
+    return _refutation(deltas, alpha, p, q, cap)[1] is None
 
 
 def pq_entails(
@@ -134,11 +147,15 @@ def pq_entails(
 ) -> bool:
     """Conjunctive threshold entailment at a valid threshold pair.
 
-    The hypotheses are conjoined (empty set: the constant-true formula)
-    and the single conjunction must reach p for the conclusion to owe q.
+    The hypotheses are conjoined (empty set: true on every row) and the
+    single conjunction must reach p for the conclusion to owe q; the
+    conjunction is the AND of the hypotheses' truth tables.
     """
-    conjunction = prop.conj_all(deltas)
-    return hailperin_entails([conjunction], alpha, thresholds.p, thresholds.q, cap)
+    A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
+    conjunction = (1 << (1 << len(A))) - 1
+    for table in hypotheses:
+        conjunction &= table
+    return _refuting_masses(len(A), (conjunction,), conclusion, thresholds.p, thresholds.q) is None
 
 
 def collapse_check(

@@ -377,6 +377,14 @@ def phi(A: Scope, U: frozenset) -> PropFormula:
     return conj_all(Atom(a) if a in U else Not(Atom(a)) for a in sorted(A))
 
 
+def phi_text(A: Scope, mask: int) -> str:
+    """``to_text(phi(A, U))`` for the subset U of A with bitmask ``mask``,
+    built without the formula: the literals joined by `` & ``."""
+    if not A:
+        raise ScopeError("empty scope has no point formulas")
+    return " & ".join(f"B{a}" if mask >> k & 1 else f"!B{a}" for k, a in enumerate(sorted(A)))
+
+
 def point_mask(A: Scope, f: PropFormula) -> Optional[int]:
     """The bitmask of U when ``f`` is ``phi(A, U)``, else None."""
     atoms = sorted(A)

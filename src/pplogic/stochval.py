@@ -76,8 +76,8 @@ class FinDist:
 
     @staticmethod
     def from_masks(scope: Scope, masses: Mapping[int, Fraction]) -> "FinDist":
-        items = tuple(sorted((m, Fraction(p)) for m, p in masses.items() if Fraction(p) != 0))
-        return FinDist(frozenset(scope), items)
+        items = ((m, p if isinstance(p, Fraction) else Fraction(p)) for m, p in masses.items())
+        return FinDist(frozenset(scope), tuple(sorted(item for item in items if item[1])))
 
     @staticmethod
     def uniform(scope: Scope) -> "FinDist":
@@ -269,10 +269,7 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
     total = ZERO
     for m, p in enumerate(points):
         if not (ZERO <= p <= ONE):
-            U = prop.subset_of_mask(carrier, m)
-            raise NotAProbabilityAssignment(
-                f"P({prop.to_text(prop.phi(carrier, U))}) = {p} outside [0,1]"
-            )
+            raise NotAProbabilityAssignment(f"P({prop.phi_text(carrier, m)}) = {p} outside [0,1]")
         total += p
         if p != 0:
             masses[m] = p

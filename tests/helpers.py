@@ -249,6 +249,22 @@ def find_refuting_valuation_by_points(deltas, alpha, p, q, cap: int = prop.DEFAU
     return stochval.StochasticValuation(A, joint)
 
 
+def pq_entails_by_formulas(deltas, alpha, thresholds, cap: int = prop.DEFAULT_SCOPE_CAP) -> bool:
+    """Reference for ``pqentail.pq_entails``: the hypotheses conjoined as a
+    formula (``conj_all``; the empty set is T, whose B1 joins the scope),
+    then ``find_refuting_valuation_by_points`` on that one hypothesis."""
+    conjunction = prop.conj_all(deltas)
+    refutation = find_refuting_valuation_by_points([conjunction], alpha, thresholds.p, thresholds.q, cap)
+    return refutation is None
+
+
+def findist_from_masks_by_fractions(scope, masses) -> stochval.FinDist:
+    """Reference for ``stochval.FinDist.from_masks``: every mass converted
+    with ``Fraction`` in the zero filter and again for its pair."""
+    items = tuple(sorted((m, Fraction(p)) for m, p in masses.items() if Fraction(p) != 0))
+    return stochval.FinDist(frozenset(scope), items)
+
+
 def sign_classes(alphas, scope) -> list:
     """Brute-force cells: the subsets of the scope grouped by which of the
     formulas they satisfy, each class a sorted list of masks, the classes

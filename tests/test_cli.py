@@ -350,6 +350,16 @@ class TestPqEntail:
         code, _, _ = run(capsys, "pq-entail", "--p", "1", "--q", "1", "--hyp", hyp, "--concl", "B1")
         assert code == 0
 
+    def test_empty_hypothesis_file_adds_no_atom(self, capsys, tmp_path):
+        # 16 atoms: the empty conjunction is true on every row, not the formula T over B1
+        hyp = tmp_path / "empty.txt"
+        hyp.write_text("")
+        wide = " & ".join(f"B{k}" for k in range(2, 18))
+        code, out, err = run(
+            capsys, "pq-entail", "--p", "1", "--q", "1", "--hyp", str(hyp), "--concl", wide
+        )
+        assert (code, out, err) == (1, "does not entail\n", "")
+
     def test_invalid_pair_exits_2(self, capsys, tmp_path):
         hyp = self.write_hyps(tmp_path, ["B1"])
         code, _, err = run(

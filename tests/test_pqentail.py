@@ -7,7 +7,12 @@ from hypothesis import given, settings
 
 from pplogic import pqentail, prop, stochval
 
-from .helpers import find_refuting_valuation_by_points, random_formula, semantic_class_pool
+from .helpers import (
+    find_refuting_valuation_by_points,
+    pq_entails_by_formulas,
+    random_formula,
+    semantic_class_pool,
+)
 from .strategies import formulas
 
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -133,6 +138,27 @@ class TestCollapse:
             assert c == p
 
 
+def _checked_refutation(deltas, alpha, p, q):
+    """``find_refuting_valuation``, its valuation re-checked by ``prob``."""
+    V = pqentail.find_refuting_valuation(deltas, alpha, p, q)
+    if V is not None:
+        assert all(stochval.prob(V, d) >= p for d in deltas)
+        assert stochval.prob(V, alpha) < q
+    return V
+
+
+def _assert_routes_agree(deltas, alpha, t):
+    """pq_entails and hailperin_entails on tables against the formula route."""
+    deltas = list(deltas)
+    conjunctive = pqentail.pq_entails(deltas, alpha, t)
+    assert conjunctive == pq_entails_by_formulas(deltas, alpha, t)
+    assert conjunctive == (_checked_refutation([prop.conj_all(deltas)], alpha, t.p, t.q) is None)
+    wise = pqentail.hailperin_entails(deltas, alpha, t.p, t.q)
+    assert wise == (find_refuting_valuation_by_points(deltas, alpha, t.p, t.q) is None)
+    assert wise == (_checked_refutation(deltas, alpha, t.p, t.q) is None)
+    return conjunctive, wise
+
+
 class TestMemo:
     def test_range_error_wins_over_scope_cap(self):
         wide = prop.conj_all([prop.Atom(k) for k in range(1, 18)])
@@ -148,18 +174,40 @@ class TestMemo:
                 pqentail.find_refuting_valuation([wide], B1, F(1, 2), F(1, 2))
 
     def test_memo_is_bounded(self):
-        maxsize = pqentail._refuting_valuation.cache_info().maxsize
+        maxsize = pqentail._refuting_masses.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 4096
+
+    def test_equal_tables_over_other_atoms_of_one_count_share_one_entry(self):
+        B3, B5, B9 = prop.Atom(3), prop.Atom(5), prop.Atom(9)
+        low = ([prop.disj(B2, B3)], B2)
+        high = ([prop.disj(B5, B9)], B5)
+        pqentail._refuting_masses.cache_clear()
+        V = pqentail.find_refuting_valuation(*low, F(1, 2), F(1, 2))
+        W = pqentail.find_refuting_valuation(*high, F(1, 2), F(1, 2))
+        info = pqentail._refuting_masses.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 4096)
+        assert V.carrier == {2, 3} and W.carrier == {5, 9}
+        for U, (deltas, alpha) in ((V, low), (W, high)):
+            assert all(stochval.prob(U, d) >= F(1, 2) for d in deltas)
+            assert stochval.prob(U, alpha) < F(1, 2)
+
+    def test_equal_tables_over_other_atom_counts_pose_other_systems(self):
+        # T over {B1} and !B2 & T over {B1, B2} both have the table 0b11
+        one, two = prop.parse("T"), prop.parse("!B2 & T")
+        for order in ((one, two), (two, one)):
+            pqentail._refuting_masses.cache_clear()
+            verdicts = {alpha: pqentail.hailperin_entails([], alpha, F(1), F(1)) for alpha in order}
+            assert verdicts == {one: True, two: False}
 
     def test_equal_truth_tables_share_one_entry(self):
         first = ([prop.disj(B1, B2)], B1)
         second = ([prop.disj(B2, B1)], prop.Not(prop.Not(B1)))
         assert first != second
-        pqentail._refuting_valuation.cache_clear()
+        pqentail._refuting_masses.cache_clear()
         V = pqentail.find_refuting_valuation(*first, F(1, 2), F(1, 2))
-        before = pqentail._refuting_valuation.cache_info()
+        before = pqentail._refuting_masses.cache_info()
         W = pqentail.find_refuting_valuation(*second, F(1, 2), F(1, 2))
-        after = pqentail._refuting_valuation.cache_info()
+        after = pqentail._refuting_masses.cache_info()
         assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
         assert V is not None and W == V
         for deltas, alpha in (first, second):
@@ -180,7 +228,9 @@ class TestMemo:
         # the pool, hypothesis sets and threshold pairs of test_03
         pool = semantic_class_pool({1, 2})
         hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
-        pqentail._refuting_valuation.cache_clear()
+        pqentail._refuting_masses.cache_clear()
+        verdicts = set()
+        instances = 0
         for p, q in [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]:
             t = pqentail.ThresholdPair(p, q)
             for deltas in hypothesis_sets:
@@ -189,6 +239,70 @@ class TestMemo:
                     reference = find_refuting_valuation_by_points([conjunction], alpha, p, q)
                     expected = (prop.entails_c(deltas, alpha), reference is None)
                     assert pqentail.collapse_check(deltas, alpha, t) == expected
+                    # the table route against the formula route it replaced
+                    verdicts.add(_assert_routes_agree(deltas, alpha, t))
+                    instances += 1
+        assert instances == 8768
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+class TestTableRoute:
+    """The truth-table route against the formula route it replaced: the
+    hypotheses conjoined as a formula, the system built from formulas.  The
+    2-atom pool sweep is in TestMemo."""
+
+    PAIRS = [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]
+
+    def test_seeded_three_atom_instances(self):
+        rng = random.Random(53)
+        atoms = [2, 5, 9]
+        drawn = [random_formula(rng, atoms, 3) for _ in range(40)]
+        pqentail._refuting_masses.cache_clear()
+        verdicts = set()
+        for _ in range(300):
+            deltas = rng.sample(drawn, rng.randrange(4))
+            t = pqentail.ThresholdPair(*rng.choice(self.PAIRS))
+            verdicts.add(_assert_routes_agree(deltas, rng.choice(drawn), t))
+        assert {(True, True), (True, False), (False, False)} <= verdicts
+
+    @pytest.mark.parametrize("links", range(4, 10))
+    def test_hailperin_chains(self, links):
+        atoms = [prop.Atom(k) for k in range(2, links + 2)]
+        chain = [atoms[0]] + [prop.Implies(a, b) for a, b in zip(atoms, atoms[1:])]
+        p = F(19, 20)
+        bound = 1 - links * (1 - p)
+        for q, entails in ((bound, True), (bound + F(1, 100), False)):
+            assert pqentail.hailperin_entails(chain, atoms[-1], p, q) is entails
+            assert (find_refuting_valuation_by_points(chain, atoms[-1], p, q) is None) is entails
+            assert (_checked_refutation(chain, atoms[-1], p, q) is None) is entails
+
+    def test_no_formula_and_no_valuation_is_built_for_a_verdict(self, monkeypatch):
+        pool = semantic_class_pool({1, 2})
+        instances = [(list(deltas), alpha) for deltas in itertools.combinations(pool[:6], 2) for alpha in pool]
+        t = pqentail.ThresholdPair(F(3, 4), F(1, 2))
+
+        def unreachable(*args):
+            raise AssertionError("built on the table route")
+
+        pqentail._refuting_masses.cache_clear()
+        monkeypatch.setattr(stochval, "from_cells", unreachable)
+        monkeypatch.setattr(prop, "conj", unreachable)
+        verdicts = set()
+        for deltas, alpha in instances:
+            classical, conjunctive = pqentail.collapse_check(deltas, alpha, t)
+            assert conjunctive == classical == pqentail.pq_entails(deltas, alpha, t)
+            verdicts.add(pqentail.hailperin_entails(deltas, alpha, t.p, t.q))
+            verdicts.add(conjunctive)
+        assert verdicts == {True, False}
+
+    def test_empty_hypothesis_set_adds_no_atom(self):
+        # T, the empty conjunction as a formula, would bring B1 in: 17 atoms
+        wide = prop.conj_all([prop.Atom(k) for k in range(2, 18)])
+        t = pqentail.ThresholdPair(F(1), F(1))
+        assert pqentail.pq_entails([], wide, t) is False
+        assert pqentail.collapse_check([], wide, t) == (False, False)
+        with pytest.raises(prop.ScopeCapError):
+            pq_entails_by_formulas([], wide, t)
 
 
 @given(formulas(max_leaves=4), formulas(max_leaves=4), formulas(max_leaves=4))

@@ -108,6 +108,14 @@ class TestPhi:
         for U in prop.subsets_ascending(A):
             assert prop.models_over(prop.phi(A, U), A) == {U}
 
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_text_is_the_printed_point_formula(self, size):
+        for A in (frozenset(range(size)), frozenset(range(3, 3 * size + 3, 3))):
+            for m, U in enumerate(prop.subsets_ascending(A)):
+                assert prop.phi_text(A, m) == prop.to_text(prop.phi(A, U))
+        with pytest.raises(prop.ScopeError):
+            prop.phi_text(frozenset(), 0)
+
 
 class TestDnf:
     def test_tautology_over_one_atom(self):

@@ -11,6 +11,7 @@ from pplogic import prop, stochval
 from .helpers import (
     check_adams_by_formulas,
     findist_checks_by_fractions,
+    findist_from_masks_by_fractions,
     marginal_by_subsets,
     random_formula,
     random_valuation,
@@ -73,6 +74,16 @@ class TestFinDist:
                 stochval.FinDist(scope, mass)
             assert type(got.value) is type(expected.value)
             assert str(got.value) == str(expected.value)
+        # from_masks converts each mass once and fails as the double conversion did
+        unconvertible = [(one, ((0, "x"),)), (one, ((0, None),)), (one, ((0, float("nan")),))]
+        for scope, mass in corpus + unconvertible + [(one, ((0, 1),)), (two, ((3, "1/2"), (0, 0.5)))]:
+            outcomes = []
+            for build in (findist_from_masks_by_fractions, stochval.FinDist.from_masks):
+                try:
+                    outcomes.append(build(scope, dict(mass)))
+                except (stochval.DistributionError, TypeError, ValueError) as error:
+                    outcomes.append((type(error), str(error)))
+            assert outcomes[0] == outcomes[1]
 
     def test_valid_masses_keep_their_pairs_and_hash(self):
         rng = random.Random(41)
@@ -155,7 +166,7 @@ class TestGaloisMaps:
         table = stochval.TableAssignment(
             {prop.parse("B1"): F(3, 2), prop.parse("!B1"): F(-1, 2)}
         )
-        with pytest.raises(stochval.NotAProbabilityAssignment):
+        with pytest.raises(stochval.NotAProbabilityAssignment, match=r"^P\(!B1\) = -1/2 outside \[0,1\]$"):
             stochval.svp(table, frozenset({1}))
 
     def test_round_trip_from_valuation(self):
