@@ -160,8 +160,8 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
     probabilities of the formulas depend only on the cells' masses, and any
     masses on the cells come from a distribution on the scope, such as the
     one that puts each cell's mass on its lowest subset.  The formulas
-    enter only through their truth tables over the scope, and ``cell_rows``
-    builds the rows from those.
+    enter only through their truth tables over the scope: ``cells`` finds
+    the cells from those, and ``cell_rows`` builds the rows over them.
 
     The first result is the rows of ``cell_rows``.  The second maps each
     formula to the coefficients {c: 1} of the cells inside its models, whose
@@ -169,29 +169,56 @@ def distribution_rows(alphas, scope: prop.Scope, cap: int = prop.DEFAULT_SCOPE_C
     bitmask of its lowest subset.
     """
     scope, masks = prop.tables(alphas, cap, scope)
-    rows, sums, points = cell_rows(masks, len(scope))
+    rows, sums, points = cell_rows(cells(masks, len(scope)), len(masks))
     return rows, dict(zip(alphas, sums)), points
 
 
-def cell_rows(masks, n: int):
-    """The distribution polytope over the cells of truth tables ``masks``
-    over a scope of n atoms, the mask-level half of ``distribution_rows``.
+def cells(masks, n: int) -> list:
+    """The cells of truth tables ``masks`` over a scope of n atoms, as
+    ``(lowest point, signature)`` pairs in ascending order of the point.
 
     The cells come from partition refinement of the tables (start from all
     2^n subsets, split every cell by each distinct table), so there are at
     most min(2^k, 2^n) of them for k tables; the refinement holds each cell
-    as a 2^n-bit integer.  Variable c is the mass y_c of the c-th cell in
-    ascending order of its lowest subset's bitmask; the rows, a fresh list
-    the caller may extend, say y_c >= 0 and sum_c y_c = 1.  The second
-    result lists, for each table in turn, the coefficients {c: 1} of the
-    cells inside it; the third lists each cell's lowest subset.
+    as a 2^n-bit integer.  A cell's signature has bit i set when table
+    ``masks[i]`` contains it.  Two lists of as many tables with one set of
+    signatures give ``cell_rows`` systems that differ only in the order of
+    the cells.
     """
-    cells = [(1 << (1 << n)) - 1]
-    for m in dict.fromkeys(masks):
-        cells = [part for c in cells for part in (c & m, c & ~m) if part]
-    points = sorted((c & -c).bit_length() - 1 for c in cells)
-    sums = [{c: 1 for c, point in enumerate(points) if m >> point & 1} for m in masks]
-    return list(_polytope_rows(len(points))), sums, points
+    bits: dict = {}  # each distinct table -> the bits of its positions
+    for i, m in enumerate(masks):
+        bits[m] = bits.get(m, 0) | 1 << i
+    parts = [((1 << (1 << n)) - 1, 0)]  # (cell, signature)
+    for m, bit in bits.items():
+        split = []
+        for c, s in parts:
+            inside = c & m
+            if not inside:
+                split.append((c, s))
+                continue
+            split.append((inside, s | bit))
+            if inside != c:
+                split.append((c ^ inside, s))
+        parts = split
+    return sorted(((c & -c).bit_length() - 1, s) for c, s in parts)
+
+
+def cell_rows(cells, k: int):
+    """The distribution polytope over the cells of k truth tables, as
+    ``cells`` lists them: the mask-level half of ``distribution_rows``.
+
+    Variable c is the mass y_c of the c-th cell; the rows, a fresh list the
+    caller may extend, say y_c >= 0 and sum_c y_c = 1.  The second result
+    lists, for each table in turn, the coefficients {c: 1} of the cells
+    inside it; the third lists each cell's lowest subset.
+    """
+    sums: list = [{} for _ in range(k)]
+    for c, (_, s) in enumerate(cells):
+        while s:
+            low = s & -s
+            sums[low.bit_length() - 1][c] = 1
+            s ^= low
+    return list(_polytope_rows(len(cells))), sums, [point for point, _ in cells]
 
 
 @lru_cache(maxsize=_POLYTOPE_SIZES)

@@ -19,16 +19,29 @@ witnessing subset implies the full set witnesses too.
 
 A threshold system depends on the formulas only through their truth tables
 over A, and those tables depend on A only through its size: table bit m
-reads the k-th smallest atom of A from bit k of m.  So the refutation is
-memoized on (|A|, the hypotheses' tables, the conclusion's table, p, q) in
-one bounded memo of 4,096 systems, and each distinct system is encoded and
-decided once while it stays there; formulas over {B2, B3} and {B5, B9}
-with equal tables pose one system.  The memo keeps the feasible point's
-cell masses, and only ``find_refuting_valuation`` turns them into a
-valuation over A; the yes/no deciders build none.  ``pq_entails`` ANDs the
-hypotheses' tables, so it builds no conjunction and the empty hypothesis
-set adds no atom to A.  Thresholds and the scope cap are checked on every
-call, before the memo is asked.
+reads the k-th smallest atom of A from bit k of m.  It depends on the
+tables in turn only through which of their cells are nonempty, the
+reduction of probabilistic satisfiability to the sign classes of the
+formulas (Georgakopoulos, Kavvadias & Papadimitriou, 1988): a cell's
+signature is the bitmask of the tables that contain it, and two lists of
+as many tables with one signature set pose one linear program up to the
+order of its variables.
+
+So the yes/no deciders ``pq_entails`` and ``hailperin_entails`` ask two
+bounded memos of 4,096 systems each.  The front memo is keyed on (|A|, the
+hypotheses' tables, the conclusion's table, p, q).  Only a miss there
+reads the signatures, from the cells ``ppl.cells`` refines for
+``ppl.cell_rows``, and asks the cell-structure memo, keyed on (number of
+tables, sorted signatures, p, q).  Only a miss there builds a linear
+program: that of the caller that posed it, in ``cell_rows``' order, the
+system ``validity`` poses for the same formulas, so the two share the
+simplex memo of ``rcof``.  ``find_refuting_valuation`` has a memo of its
+own on the front memo's key, which keeps the feasible point's cell masses,
+so each witness depends on its input alone; it turns them into a valuation
+over A.  ``pq_entails`` ANDs the hypotheses' tables, so it builds no
+conjunction and the empty hypothesis set adds no atom to A, and it keys on
+its ``ThresholdPair``, whose hash is computed once.  Thresholds and the
+scope cap are checked on every call, before any memo is asked.
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ from . import ppl, prop, rcof, stochval
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Distinct threshold systems whose refutations are kept.
+# Distinct threshold systems each memo keeps.
 _SYSTEMS = 4096
 
 
@@ -52,15 +65,28 @@ class InvalidThresholds(ValueError):
 
 
 @dataclass(frozen=True)
-class ThresholdPair:
+class _Thresholds:
+    """p and q as a memo key, hashed once; the range is the caller's to check."""
+
     p: Fraction
     q: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self):
+        return self._hash
+
+
+class ThresholdPair(_Thresholds):
+    """A valid threshold pair, 0 < q <= p <= 1."""
 
     def __post_init__(self):
         object.__setattr__(self, "p", Fraction(self.p))
         object.__setattr__(self, "q", Fraction(self.q))
         if not (ZERO < self.q <= self.p <= ONE):
             raise InvalidThresholds(f"need 0 < q <= p <= 1, got p={self.p}, q={self.q}")
+        super().__post_init__()
 
 
 def p_satisfies(
@@ -93,19 +119,31 @@ def find_refuting_valuation(
     a carrier-A valuation with each cell's mass on its lowest subset.  Each
     distinct system is decided once while it stays in a bounded memo.
     """
-    A, masses = _refutation(deltas, alpha, p, q, cap)
+    A, hypotheses, conclusion, p, q = _tabled(deltas, alpha, p, q, cap)
+    masses = _refuting_masses(len(A), hypotheses, conclusion, p, q)
     return None if masses is None else stochval.from_cells(A, *masses)
 
 
-def _refutation(deltas, alpha, p, q, cap: int) -> tuple:
-    """``(A, the memo's refutation)`` for ``find_refuting_valuation`` and
-    ``hailperin_entails``, after the range check of p and q."""
+def _tabled(deltas, alpha, p, q, cap: int) -> tuple:
+    """``(A, hypotheses' tables, conclusion's table, p, q)`` for
+    ``find_refuting_valuation`` and ``hailperin_entails``, after the range
+    check of p and q."""
     p, q = Fraction(p), Fraction(q)
     for value, name in ((p, "p"), (q, "q")):
         if not (ZERO <= value <= ONE):
             raise ValueError(f"threshold {name}={value} outside [0,1]")
     A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
-    return A, _refuting_masses(len(A), tuple(hypotheses), conclusion, p, q)
+    return A, tuple(hypotheses), conclusion, p, q
+
+
+def _system(cells: list, k: int, p: Fraction, q: Fraction) -> tuple:
+    """The linear atoms of the threshold system on the ``ppl.cells`` of k
+    truth tables, the last of them the conclusion's, and the cells' points."""
+    atoms, sums, points = ppl.cell_rows(cells, k)
+    for coeffs in sums[:-1]:  # p - sum <= 0
+        atoms.append(rcof.LinearAtom.make({c: -v for c, v in coeffs.items()}, p, rcof.REL_LE))
+    atoms.append(rcof.LinearAtom.make(sums[-1], -q, rcof.REL_LT))  # sum - q < 0
+    return atoms, points
 
 
 @lru_cache(maxsize=_SYSTEMS)
@@ -116,12 +154,44 @@ def _refuting_masses(
     any scope of n atoms: ``(points, values)``, cell c's mass ``values[c]``
     (0 when absent) on the subset whose bitmask is ``points[c]``, or None.
     Callers share the result and must not mutate it."""
-    atoms, sums, points = ppl.cell_rows([*hypotheses, conclusion], n)
-    for coeffs in sums[:-1]:  # p - sum <= 0
-        atoms.append(rcof.LinearAtom.make({c: -v for c, v in coeffs.items()}, p, rcof.REL_LE))
-    atoms.append(rcof.LinearAtom.make(sums[-1], -q, rcof.REL_LT))  # sum - q < 0
+    tables = (*hypotheses, conclusion)
+    atoms, points = _system(ppl.cells(tables, n), len(tables), p, q)
     values = rcof.fm_feasible(atoms)
     return None if values is None else (tuple(points), values)
+
+
+@lru_cache(maxsize=_SYSTEMS)
+def _entailed(n: int, hypotheses: tuple, conclusion: int, thresholds: _Thresholds) -> bool:
+    """The yes/no verdict of ``hailperin_entails`` for truth tables over any
+    scope of n atoms; a miss asks the cell-structure memo."""
+    tables = (*hypotheses, conclusion)
+    return not _refutable(_CellStructure(ppl.cells(tables, n), len(tables), thresholds))
+
+
+class _CellStructure:
+    """The cell-structure memo's key: hash and equality read only the number
+    of tables, their sorted cell signatures, p and q.  The cells of the
+    caller that posed it ride along, so a miss solves that caller's system."""
+
+    __slots__ = ("cells", "k", "p", "q", "_key", "_hash")
+
+    def __init__(self, cells: list, k: int, thresholds: _Thresholds):
+        self.cells, self.k, self.p, self.q = cells, k, thresholds.p, thresholds.q
+        self._key = (k, tuple(sorted(s for _, s in cells)), self.p, self.q)
+        self._hash = hash(self._key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self._key == other._key
+
+
+@lru_cache(maxsize=_SYSTEMS)
+def _refutable(system: _CellStructure) -> bool:
+    """Whether the threshold system of ``system`` is feasible."""
+    atoms, _ = _system(system.cells, system.k, system.p, system.q)
+    return rcof.fm_feasible(atoms) is not None
 
 
 def hailperin_entails(
@@ -136,7 +206,8 @@ def hailperin_entails(
 
     Any p, q in [0,1] are accepted.
     """
-    return _refutation(deltas, alpha, p, q, cap)[1] is None
+    A, hypotheses, conclusion, p, q = _tabled(deltas, alpha, p, q, cap)
+    return _entailed(len(A), hypotheses, conclusion, _Thresholds(p, q))
 
 
 def pq_entails(
@@ -155,7 +226,7 @@ def pq_entails(
     conjunction = (1 << (1 << len(A))) - 1
     for table in hypotheses:
         conjunction &= table
-    return _refuting_masses(len(A), (conjunction,), conclusion, thresholds.p, thresholds.q) is None
+    return _entailed(len(A), (conjunction,), conclusion, thresholds)
 
 
 def collapse_check(

@@ -153,7 +153,8 @@ def _project(d: FinDist, A: Scope) -> dict:
 
     Each atom of A in d's scope copies its bit from d's mask; each atom of
     A outside it is a fair coin, so every mass is split evenly over both
-    of its values.  Atoms of d's scope outside A are summed out.
+    of its values.  Atoms of d's scope outside A are summed out.  The sums
+    are of d's integer weights, with one ``Fraction`` per A-bitmask.
     """
     position = {a: j for j, a in enumerate(sorted(d.scope))}
     copied = []  # (bit in d's mask, bit in the A-mask)
@@ -164,18 +165,17 @@ def _project(d: FinDist, A: Scope) -> dict:
             coins += [c | 1 << k for c in coins]
         else:
             copied.append((j, k))
+    D, weights = d._weights
     acc: dict = {}
-    for m, p in d.mass:
+    for m, w in weights.items():
         key = 0
         for j, k in copied:
             key |= (m >> j & 1) << k
-        acc[key] = acc.get(key, ZERO) + p
-    if len(coins) == 1:
-        return acc
-    share = Fraction(1, len(coins))
+        acc[key] = acc.get(key, 0) + w
+    D *= len(coins)
     out = {}
-    for key, p in acc.items():
-        p *= share
+    for key, w in acc.items():
+        p = Fraction(w, D)
         for c in coins:
             out[key | c] = p
     return out

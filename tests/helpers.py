@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pplogic import ppl, prop, rcof, stochval
+from pplogic import ppl, pqentail, prop, rcof, stochval
 
 
 def random_formula(rng: random.Random, atom_indices, depth: int) -> prop.PropFormula:
@@ -145,6 +145,36 @@ def marginal_by_subsets(V: stochval.StochasticValuation, A) -> stochval.FinDist:
     return stochval.FinDist.from_masks(A, masses)
 
 
+def project_by_fractions(d: stochval.FinDist, A) -> dict:
+    """Reference for ``stochval._project``: one ``Fraction`` addition per
+    mass of d, then each sum scaled by 1/2 per atom of A outside d's
+    scope."""
+    position = {a: j for j, a in enumerate(sorted(d.scope))}
+    copied = []  # (bit in d's mask, bit in the A-mask)
+    coins = [0]  # every A-mask over the atoms outside d's scope
+    for k, a in enumerate(sorted(A)):
+        j = position.get(a)
+        if j is None:
+            coins += [c | 1 << k for c in coins]
+        else:
+            copied.append((j, k))
+    acc: dict = {}
+    for m, p in d.mass:
+        key = 0
+        for j, k in copied:
+            key |= (m >> j & 1) << k
+        acc[key] = acc.get(key, Fraction(0)) + p
+    if len(coins) == 1:
+        return acc
+    share = Fraction(1, len(coins))
+    out = {}
+    for key, p in acc.items():
+        p *= share
+        for c in coins:
+            out[key | c] = p
+    return out
+
+
 def check_adams_by_formulas(P, pool) -> stochval.AdamsReport:
     """Reference for ``stochval.check_adams``: asks P for ``prop.disj(fi, fj)``
     on every disjoint pair, whatever P is, and compares ``Fraction`` sums."""
@@ -255,6 +285,18 @@ def pq_entails_by_formulas(deltas, alpha, thresholds, cap: int = prop.DEFAULT_SC
     then ``find_refuting_valuation_by_points`` on that one hypothesis."""
     conjunction = prop.conj_all(deltas)
     refutation = find_refuting_valuation_by_points([conjunction], alpha, thresholds.p, thresholds.q, cap)
+    return refutation is None
+
+
+def pq_entails_by_refutation(deltas, alpha, thresholds, cap: int = prop.DEFAULT_SCOPE_CAP) -> bool:
+    """Reference for ``pqentail.pq_entails``: the hypotheses' tables ANDed,
+    then the witness memo ``pqentail._refuting_masses`` on that one table,
+    so each distinct table-level system is solved, whatever its cells."""
+    A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
+    conjunction = (1 << (1 << len(A))) - 1
+    for table in hypotheses:
+        conjunction &= table
+    refutation = pqentail._refuting_masses(len(A), (conjunction,), conclusion, thresholds.p, thresholds.q)
     return refutation is None
 
 

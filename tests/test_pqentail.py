@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from pplogic import pqentail, prop, stochval
+from pplogic import ppl, pqentail, prop, rcof, stochval
 
 from .helpers import (
     find_refuting_valuation_by_points,
@@ -174,8 +174,9 @@ class TestMemo:
                 pqentail.find_refuting_valuation([wide], B1, F(1, 2), F(1, 2))
 
     def test_memo_is_bounded(self):
-        maxsize = pqentail._refuting_masses.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 4096
+        # the witness memo, the memo on tables and the memo on cell structures
+        for memo in (pqentail._refuting_masses, pqentail._entailed, pqentail._refutable):
+            assert memo.cache_info().maxsize == 4096
 
     def test_equal_tables_over_other_atoms_of_one_count_share_one_entry(self):
         B3, B5, B9 = prop.Atom(3), prop.Atom(5), prop.Atom(9)
@@ -267,14 +268,13 @@ class TestTableRoute:
 
     @pytest.mark.parametrize("links", range(4, 10))
     def test_hailperin_chains(self, links):
-        atoms = [prop.Atom(k) for k in range(2, links + 2)]
-        chain = [atoms[0]] + [prop.Implies(a, b) for a, b in zip(atoms, atoms[1:])]
+        chain, alpha = _chain(links)
         p = F(19, 20)
         bound = 1 - links * (1 - p)
         for q, entails in ((bound, True), (bound + F(1, 100), False)):
-            assert pqentail.hailperin_entails(chain, atoms[-1], p, q) is entails
-            assert (find_refuting_valuation_by_points(chain, atoms[-1], p, q) is None) is entails
-            assert (_checked_refutation(chain, atoms[-1], p, q) is None) is entails
+            assert pqentail.hailperin_entails(chain, alpha, p, q) is entails
+            assert (find_refuting_valuation_by_points(chain, alpha, p, q) is None) is entails
+            assert (_checked_refutation(chain, alpha, p, q) is None) is entails
 
     def test_no_formula_and_no_valuation_is_built_for_a_verdict(self, monkeypatch):
         pool = semantic_class_pool({1, 2})
@@ -303,6 +303,150 @@ class TestTableRoute:
         assert pqentail.collapse_check([], wide, t) == (False, False)
         with pytest.raises(prop.ScopeCapError):
             pq_entails_by_formulas([], wide, t)
+
+
+MEMOS = (pqentail._entailed, pqentail._refutable, pqentail._refuting_masses, rcof._simplex)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _pool_sweep():
+    """The 8,768 instances of acceptance test 03."""
+    pool = semantic_class_pool({1, 2})
+    hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
+    pairs = [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]
+    return [
+        (list(deltas), alpha, pqentail.ThresholdPair(p, q))
+        for p, q in pairs
+        for deltas in hypothesis_sets
+        for alpha in pool
+    ]
+
+
+def _three_atom_instances():
+    rng = random.Random(59)
+    atoms = [2, 5, 9]
+    drawn = [random_formula(rng, atoms, 3) for _ in range(40)]
+    instances = []
+    for _ in range(300):
+        deltas = rng.sample(drawn, rng.randrange(4))
+        t = pqentail.ThresholdPair(*rng.choice(TestTableRoute.PAIRS))
+        instances.append((deltas, rng.choice(drawn), t))
+    return instances
+
+
+def _chain(links):
+    atoms = [prop.Atom(k) for k in range(2, links + 2)]
+    return [atoms[0]] + [prop.Implies(a, b) for a, b in zip(atoms, atoms[1:])], atoms[-1]
+
+
+def _chain_instances():
+    p = F(19, 20)
+    instances = []
+    for links in range(4, 10):
+        bound = 1 - links * (1 - p)
+        chain, alpha = _chain(links)
+        instances += [(chain, alpha, pqentail.ThresholdPair(p, q)) for q in (bound, bound + F(1, 100))]
+    return instances
+
+
+def _by_verdicts(instances):
+    return [
+        (pqentail.pq_entails(deltas, alpha, t), pqentail.hailperin_entails(deltas, alpha, t.p, t.q))
+        for deltas, alpha, t in instances
+    ]
+
+
+def _by_witnesses(instances, refute):
+    return [
+        (refute([prop.conj_all(deltas)], alpha, t.p, t.q) is None, refute(deltas, alpha, t.p, t.q) is None)
+        for deltas, alpha, t in instances
+    ]
+
+
+class TestVerdictMemos:
+    """The yes/no deciders, which share one system per cell structure,
+    against the witness memo, which solves each table-level system, and
+    against the point encoding with no memo."""
+
+    @pytest.mark.parametrize("instances", [_pool_sweep, _three_atom_instances, _chain_instances])
+    def test_verdicts_equal_the_witnesses_in_either_order(self, instances):
+        instances = instances()
+        expected = _by_witnesses(instances, find_refuting_valuation_by_points)
+        assert {wise for _, wise in expected} == {True, False}
+        for verdict_first in (True, False):
+            _clear_memos()
+            if verdict_first:
+                verdicts = _by_verdicts(instances)
+                witnesses = _by_witnesses(instances, pqentail.find_refuting_valuation)
+            else:
+                witnesses = _by_witnesses(instances, pqentail.find_refuting_valuation)
+                verdicts = _by_verdicts(instances)
+            assert verdicts == witnesses == expected
+
+    def test_p_and_q_are_part_of_the_cell_structure_key(self):
+        chain, alpha = _chain(5)
+        _clear_memos()
+        # bound 3/4 at p = 19/20; 1 - 5 (1 - p) moves with p
+        assert pqentail.hailperin_entails(chain, alpha, F(19, 20), F(3, 4)) is True
+        assert pqentail.hailperin_entails(chain, alpha, F(19, 20), F(4, 5)) is False
+        assert pqentail.hailperin_entails(chain, alpha, F(18, 20), F(3, 4)) is False
+        assert pqentail.hailperin_entails(chain, alpha, F(20, 20), F(4, 5)) is True
+
+    def test_one_signature_set_makes_one_system(self, monkeypatch):
+        # B1 | B2 |- B1 and !B1 | B2 |- !B1: other tables, other lowest-point
+        # order of the cells, one signature set
+        first = ([prop.parse("B1 | B2")], B1)
+        second = ([prop.parse("!B1 | B2")], prop.Not(B1))
+        tables = [prop.tables([alpha, *deltas])[1] for deltas, alpha in (first, second)]
+        assert tables[0] != tables[1]
+        cells = [ppl.cells(t, 2) for t in tables]
+        assert [s for _, s in cells[0]] != [s for _, s in cells[1]]
+        assert sorted(s for _, s in cells[0]) == sorted(s for _, s in cells[1])
+        _clear_memos()
+        asked = []
+        simplex = rcof._simplex
+        monkeypatch.setattr(rcof, "_simplex", lambda atoms: asked.append(atoms) or simplex(atoms))
+        for deltas, alpha in (first, second):
+            assert pqentail.hailperin_entails(deltas, alpha, F(1, 2), F(1, 2)) is False
+        info = pqentail._refutable.cache_info()
+        assert (info.misses, info.hits, pqentail._entailed.cache_info().misses) == (1, 1, 2)
+        assert len(asked) == 1
+
+    def test_a_verdict_and_a_witness_share_the_simplex_entry(self):
+        chain, alpha = _chain(6)
+        _clear_memos()
+        assert pqentail.hailperin_entails(chain, alpha, F(19, 20), F(3, 4)) is False
+        assert pqentail.find_refuting_valuation(chain, alpha, F(19, 20), F(3, 4)) is not None
+        info = rcof._simplex.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_long_chain_pivots_as_in_lowest_point_order(self, monkeypatch):
+        pivots = []
+        pivot = rcof._pivot_and_update
+        monkeypatch.setattr(rcof, "_pivot_and_update", lambda *args: pivots.append(1) or pivot(*args))
+        chain, alpha = _chain(14)
+        for decide in (pqentail.hailperin_entails, pqentail.find_refuting_valuation):
+            _clear_memos()
+            pivots.clear()
+            decide(chain, alpha, F(19, 20), F(1, 3))
+            assert len(pivots) == 15
+
+    def test_a_warm_pool_sweep_hashes_no_fraction(self, monkeypatch):
+        instances = _pool_sweep()
+        _clear_memos()
+        for deltas, alpha, t in instances:
+            pqentail.pq_entails(deltas, alpha, t)
+        hashes = []
+        fraction_hash = F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda self: hashes.append(1) or fraction_hash(self))
+        for deltas, alpha, t in instances:
+            pqentail.pq_entails(deltas, alpha, t)
+        assert pqentail._entailed.cache_info().hits >= len(instances)
+        assert hashes == []
 
 
 @given(formulas(max_leaves=4), formulas(max_leaves=4), formulas(max_leaves=4))

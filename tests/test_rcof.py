@@ -518,7 +518,7 @@ def _posed_systems(run) -> list:
         posed.setdefault(atoms, None)
         return simplex(atoms)
 
-    for memo in (rcof._simplex, pqentail._refuting_masses):
+    for memo in (rcof._simplex, pqentail._refuting_masses, pqentail._entailed, pqentail._refutable):
         memo.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rcof, "fm_feasible", spy)
@@ -528,14 +528,19 @@ def _posed_systems(run) -> list:
 
 def _collapse_pool_sweep():
     """The sweep of acceptance test 03: every hypothesis set of at most two
-    of the 2-atom classes, every conclusion, four threshold pairs."""
+    of the 2-atom classes, every conclusion, four threshold pairs.  Each
+    instance is decided through the witness memo as well, which poses every
+    distinct table-level system; ``pq_entails`` alone solves one system per
+    cell structure."""
     pool = semantic_class_pool({1, 2})
     hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
     pairs = [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]
     for deltas in hypothesis_sets:
         for alpha in pool:
             for p, q in pairs:
-                pqentail.collapse_check(list(deltas), alpha, pqentail.ThresholdPair(p, q))
+                t = pqentail.ThresholdPair(p, q)
+                pqentail.collapse_check(list(deltas), alpha, t)
+                helpers.pq_entails_by_refutation(deltas, alpha, t)
 
 
 def _wide_lp(k: int) -> ppl.PplFormula:

@@ -13,6 +13,7 @@ from .helpers import (
     findist_checks_by_fractions,
     findist_from_masks_by_fractions,
     marginal_by_subsets,
+    project_by_fractions,
     random_formula,
     random_valuation,
     semantic_class_pool,
@@ -126,6 +127,25 @@ class TestMarginal:
             stochval.marginal(uniform({1}), frozenset(range(1, 18)))
         with pytest.raises(prop.ScopeCapError):
             stochval.marginal(uniform({1}), frozenset({1, 2, 3}), cap=2)
+
+    @pytest.mark.parametrize("atoms", range(1, 15))
+    def test_projection_equals_the_fraction_sums(self, atoms):
+        # scopes narrower than the carrier, equal to it, wider (fair coins)
+        # and overlapping it, on a dense joint and on a sparse one
+        rng = random.Random(100 + atoms)
+        carrier = frozenset(rng.sample(range(1, 19), atoms))
+        dense = random_valuation(rng, carrier).joint
+        picked = rng.sample(range(1 << atoms), min(3, 1 << atoms))
+        sparse = stochval.FinDist.from_masks(carrier, {m: F(1, len(picked)) for m in picked})
+        inside = sorted(carrier)
+        outside = sorted(set(range(1, 19)) - carrier)
+        scopes = [carrier, frozenset(rng.sample(inside, rng.randrange(1, atoms + 1)))]
+        scopes.append(carrier | frozenset(rng.sample(outside, 2)))
+        scopes.append(frozenset(rng.sample(inside, rng.randrange(1, atoms + 1)) + outside[:1]))
+        for d in (dense, sparse):
+            for A in scopes:
+                got = stochval.FinDist.from_masks(A, stochval._project(d, A))
+                assert got == stochval.FinDist.from_masks(A, project_by_fractions(d, A))
 
 
 class TestProb:
