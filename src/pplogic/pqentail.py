@@ -35,12 +35,13 @@ reads the signatures, from the cells ``ppl.cells`` refines for
 tables, sorted signatures, p, q).  Only a miss there builds a linear
 program: that of the caller that posed it, in ``cell_rows``' order, the
 system ``validity`` poses for the same formulas, so the two share the
-simplex memo of ``rcof``.  ``find_refuting_valuation`` has a memo of its
-own on the front memo's key, which keeps the feasible point's cell masses,
-so each witness depends on its input alone; it turns them into a valuation
-over A.  ``pq_entails`` ANDs the hypotheses' tables, so it builds no
-conjunction and the empty hypothesis set adds no atom to A, and it keys on
-its ``ThresholdPair``, whose hash is computed once.  Thresholds and the
+simplex memo of ``rcof``.  ``find_refuting_valuation`` builds its own
+formulas' system and asks only that simplex memo, which is keyed on the
+system itself, so each witness depends on its input alone; it turns the
+feasible point's cell masses into a valuation over A.  ``pq_entails`` ANDs
+the hypotheses' tables, so it builds no conjunction and the empty
+hypothesis set adds no atom to A, and it keys on its ``ThresholdPair``,
+whose hash is computed once.  Thresholds and the
 scope cap are checked on every call, before any memo is asked.
 """
 
@@ -116,12 +117,13 @@ def find_refuting_valuation(
     Feasibility of {simplex constraints, sum of hypothesis-model masses
     >= p per hypothesis, sum of conclusion-model masses < q} is decided
     exactly over the cells of the formulas; a feasible point is returned as
-    a carrier-A valuation with each cell's mass on its lowest subset.  Each
-    distinct system is decided once while it stays in a bounded memo.
+    a carrier-A valuation with each cell's mass on its lowest subset.
     """
     A, hypotheses, conclusion, p, q = _tabled(deltas, alpha, p, q, cap)
-    masses = _refuting_masses(len(A), hypotheses, conclusion, p, q)
-    return None if masses is None else stochval.from_cells(A, *masses)
+    tables = (*hypotheses, conclusion)
+    atoms, points = _system(ppl.cells(tables, len(A)), len(tables), p, q)
+    values = rcof.fm_feasible(atoms)
+    return None if values is None else stochval.from_cells(A, points, values)
 
 
 def _tabled(deltas, alpha, p, q, cap: int) -> tuple:
@@ -144,20 +146,6 @@ def _system(cells: list, k: int, p: Fraction, q: Fraction) -> tuple:
         atoms.append(rcof.LinearAtom.make({c: -v for c, v in coeffs.items()}, p, rcof.REL_LE))
     atoms.append(rcof.LinearAtom.make(sums[-1], -q, rcof.REL_LT))  # sum - q < 0
     return atoms, points
-
-
-@lru_cache(maxsize=_SYSTEMS)
-def _refuting_masses(
-    n: int, hypotheses: tuple, conclusion: int, p: Fraction, q: Fraction
-) -> Optional[tuple]:
-    """The refutation of ``find_refuting_valuation`` for truth tables over
-    any scope of n atoms: ``(points, values)``, cell c's mass ``values[c]``
-    (0 when absent) on the subset whose bitmask is ``points[c]``, or None.
-    Callers share the result and must not mutate it."""
-    tables = (*hypotheses, conclusion)
-    atoms, points = _system(ppl.cells(tables, n), len(tables), p, q)
-    values = rcof.fm_feasible(atoms)
-    return None if values is None else (tuple(points), values)
 
 
 @lru_cache(maxsize=_SYSTEMS)

@@ -296,6 +296,8 @@ def subsets_ascending(A: Scope) -> Iterator[frozenset]:
 
 
 def mask_of(A: Scope, U: frozenset) -> int:
+    if not U <= A:
+        raise ScopeError(f"{set(U)} is not a subset of {set(A)}")
     atoms = sorted(A)
     return sum(1 << k for k, a in enumerate(atoms) if a in U)
 

@@ -9,7 +9,9 @@ probabilities are `fractions.Fraction` values and every identity is
 checked with equality, never with a tolerance.
 
 Distributions are keyed by subset bitmask (bit k = k-th smallest carrier
-atom), which doubles as the canonical JSON serialization order.
+atom), which doubles as the canonical JSON serialization order, and are
+stored as integer weights over one denominator; a ``Fraction`` is made
+only where a probability is read out.
 """
 
 from __future__ import annotations
@@ -38,25 +40,24 @@ class NotAProbabilityAssignment(ValueError):
     """A formula-probability oracle violated the basic distribution laws."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinDist:
-    """Exact distribution over the subsets of a finite scope.
-
-    ``mass`` holds (bitmask, probability) pairs in ascending mask order
-    with zero entries dropped; absent masks carry mass 0.
-    """
+    """Exact distribution over the subsets of a finite scope: bitmask m has
+    mass ``weights.get(m, 0) / D``, in lowest terms (masks ascending, zeros
+    dropped, gcd(D, weights) = 1), so equal distributions are equal and hash
+    equal.  ``FinDist(scope, mass)`` checks (bitmask, ``Fraction``) pairs."""
 
     scope: Scope
-    mass: tuple
+    D: int
+    weights: dict
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.scope, self.mass)))
+    def __init__(self, scope: Scope, mass: tuple):
         seen = -1
-        for m, p in self.mass:
+        for m, p in mass:
             if not isinstance(p, Fraction):
                 raise DistributionError(f"mass for {m} is not an exact rational: {p!r}")
-            if not (0 <= m < (1 << len(self.scope))):
-                raise DistributionError(f"bitmask {m} out of range for scope {sorted(self.scope)}")
+            if not (0 <= m < (1 << len(scope))):
+                raise DistributionError(f"bitmask {m} out of range for scope {sorted(scope)}")
             if m <= seen:
                 raise DistributionError("masks must be strictly ascending")
             if not (0 <= p.numerator <= p.denominator):
@@ -64,15 +65,27 @@ class FinDist:
             if p.numerator == 0:
                 raise DistributionError("zero masses must be dropped")
             seen = m
-        D, weights = _over_lcm(p for _, p in self.mass)
+        D, weights = _over_lcm([p for _, p in mass])  # gcd 1, as the fractions are reduced
         total = sum(weights)
         if total != D:
             raise DistributionError(f"masses sum to {Fraction(total, D)}, not 1")
-        # the masses as integer weights over D, keyed by mask
-        object.__setattr__(self, "_weights", (D, dict(zip((m for m, _ in self.mass), weights))))
+        self._fill(scope, D, dict(zip((m for m, _ in mass), weights)))
+
+    def _fill(self, scope: Scope, D: int, weights: dict) -> None:
+        # frozen: the fields are written past the dataclass's __setattr__
+        vars(self).update(scope=scope, D=D, weights=weights, _hash=hash((scope, D, tuple(weights.items()))))
 
     def __hash__(self):
         return self._hash
+
+    @classmethod
+    def _lowest(cls, scope: Scope, D: int, weights: Mapping[int, int]) -> "FinDist":
+        """Unchecked: mass ``weights[m] / D`` on mask m, for nonnegative
+        integer weights that sum to D; reduced, masks sorted, zeros dropped."""
+        g = math.gcd(D, *weights.values())
+        d = object.__new__(cls)
+        d._fill(scope, D // g, {m: w // g for m, w in sorted(weights.items()) if w})
+        return d
 
     @staticmethod
     def from_masks(scope: Scope, masses: Mapping[int, Fraction]) -> "FinDist":
@@ -83,32 +96,33 @@ class FinDist:
     def uniform(scope: Scope) -> "FinDist":
         scope = frozenset(scope)
         n = 1 << len(scope)
-        return FinDist.from_masks(scope, {m: Fraction(1, n) for m in range(n)})
+        return FinDist._lowest(scope, n, dict.fromkeys(range(n), 1))
 
     @staticmethod
     def point(scope: Scope, U: frozenset) -> "FinDist":
         scope = frozenset(scope)
-        return FinDist.from_masks(scope, {prop.mask_of(scope, U): ONE})
+        return FinDist._lowest(scope, 1, {prop.mask_of(scope, U): 1})
+
+    @property
+    def mass(self) -> tuple:
+        """(bitmask, probability) pairs in ascending mask order, zeros dropped."""
+        return tuple((m, Fraction(w, self.D)) for m, w in self.weights.items())
 
     def mass_of_mask(self, m: int) -> Fraction:
-        D, weights = self._weights
-        return Fraction(weights.get(m, 0), D)
+        return Fraction(self.weights.get(m, 0), self.D)
 
     def mass_of_table(self, models: int) -> Fraction:
         """The mass on the set bits of the truth table ``models``: a sum of
         integer weights, one ``Fraction`` at the end."""
-        D, weights = self._weights
+        weights = self.weights
         if models.bit_count() < len(weights):
             total = sum(weights.get(m, 0) for m in _set_bits(models))
         else:
             total = sum(w for m, w in weights.items() if models >> m & 1)
-        return Fraction(total, D)
+        return Fraction(total, self.D)
 
     def mass_of(self, U: frozenset) -> Fraction:
         return self.mass_of_mask(prop.mask_of(self.scope, U))
-
-    def as_mask_dict(self) -> dict:
-        return dict(self.mass)
 
 
 @dataclass(frozen=True)
@@ -145,16 +159,16 @@ def marginal(V: StochasticValuation, A: Scope, cap: int = prop.DEFAULT_SCOPE_CAP
 
 @lru_cache(maxsize=prop.CACHE_SIZE)
 def _marginal_cached(V: StochasticValuation, A: Scope) -> FinDist:
-    return FinDist.from_masks(A, _project(V.joint, A))
+    return FinDist._lowest(A, *_project(V.joint, A))
 
 
-def _project(d: FinDist, A: Scope) -> dict:
-    """The masses of ``d`` moved onto the subsets of A, keyed by A-bitmask.
+def _project(d: FinDist, A: Scope) -> tuple:
+    """The masses of ``d`` moved onto the subsets of A: ``(D, {A-bitmask:
+    weight})``, integer weights over D, not reduced.
 
     Each atom of A in d's scope copies its bit from d's mask; each atom of
     A outside it is a fair coin, so every mass is split evenly over both
-    of its values.  Atoms of d's scope outside A are summed out.  The sums
-    are of d's integer weights, with one ``Fraction`` per A-bitmask.
+    of its values.  Atoms of d's scope outside A are summed out.
     """
     position = {a: j for j, a in enumerate(sorted(d.scope))}
     copied = []  # (bit in d's mask, bit in the A-mask)
@@ -165,20 +179,13 @@ def _project(d: FinDist, A: Scope) -> dict:
             coins += [c | 1 << k for c in coins]
         else:
             copied.append((j, k))
-    D, weights = d._weights
     acc: dict = {}
-    for m, w in weights.items():
+    for m, w in d.weights.items():
         key = 0
         for j, k in copied:
             key |= (m >> j & 1) << k
         acc[key] = acc.get(key, 0) + w
-    D *= len(coins)
-    out = {}
-    for key, w in acc.items():
-        p = Fraction(w, D)
-        for c in coins:
-            out[key | c] = p
-    return out
+    return d.D * len(coins), {key | c: w for key, w in acc.items() for c in coins}
 
 
 def prob(V: StochasticValuation, alpha: prop.PropFormula, cap: int = prop.DEFAULT_SCOPE_CAP) -> Fraction:
@@ -189,9 +196,8 @@ def prob(V: StochasticValuation, alpha: prop.PropFormula, cap: int = prop.DEFAUL
     return psv(V, cap)(alpha)
 
 
-def _over_lcm(values: Iterable[Fraction]) -> tuple:
+def _over_lcm(values: list) -> tuple:
     """``(D, [p * D for p in values])``, D the lcm of the denominators."""
-    values = list(values)
     D = math.lcm(*(p.denominator for p in values))
     return D, [p.numerator * (D // p.denominator) for p in values]
 
@@ -253,27 +259,21 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
     """The unique valuation whose point-formula probabilities match ``P``.
 
     The joint mass of each subset U of the carrier is read off as the
-    probability P gives to the conjunction of literals identifying U.  A
-    ``ValuationAssignment`` is asked ``of_table(carrier, 1 << m)`` at point
-    m, which is what it computes for that formula: its atoms are the
-    carrier and its truth table over them is ``1 << m``.
+    probability P gives to the conjunction of literals identifying U.  For
+    ``psv(V, cap)`` that is by definition the mass of ``marginal(V, carrier,
+    cap)`` at U, so that marginal is the joint, valid as every ``FinDist``.
     """
     carrier = frozenset(carrier)
     if not carrier:
         raise prop.ScopeError("carrier must be non-empty")
     if isinstance(P, ValuationAssignment):
-        points = (P.of_table(carrier, 1 << m) for m in range(1 << len(carrier)))
-    else:
-        points = (P(prop.phi(carrier, U)) for U in prop.subsets_ascending(carrier))
+        return StochasticValuation(carrier, marginal(P.valuation, carrier, P.cap))
     masses = {}
-    total = ZERO
-    for m, p in enumerate(points):
+    for m, U in enumerate(prop.subsets_ascending(carrier)):
+        masses[m] = p = P(prop.phi(carrier, U))
         if not (ZERO <= p <= ONE):
             raise NotAProbabilityAssignment(f"P({prop.phi_text(carrier, m)}) = {p} outside [0,1]")
-        total += p
-        if p != 0:
-            masses[m] = p
-    if total != ONE:
+    if (total := sum(masses.values(), ZERO)) != ONE:
         raise NotAProbabilityAssignment(f"point-formula probabilities sum to {total}, not 1")
     return StochasticValuation(carrier, FinDist.from_masks(carrier, masses))
 
@@ -281,9 +281,8 @@ def svp(P: ProbAssignment, carrier: Scope) -> StochasticValuation:
 def from_cells(scope: Scope, points, values: Mapping[int, Fraction]) -> StochasticValuation:
     """The valuation over ``scope`` with the mass ``values[c]`` of cell c
     (0 when absent) on the subset whose bitmask is ``points[c]``."""
-    scope = frozenset(scope)
     joint = FinDist.from_masks(scope, {m: values.get(c, ZERO) for c, m in enumerate(points)})
-    return StochasticValuation(scope, joint)
+    return StochasticValuation(joint.scope, joint)
 
 
 def induced_from_valuation(v: Valuation, carrier: Scope) -> StochasticValuation:
@@ -414,23 +413,22 @@ class ConsistencyReport:
 
 
 def check_consistency(family: Iterable[FinDist]) -> ConsistencyReport:
-    """Verify the marginal condition on every nested pair of the family."""
+    """Verify the marginal condition on every nested pair of the family,
+    comparing integer weights across their denominators; masks where
+    neither side has mass agree."""
     dists = list(family)
     violations = []
     for big in dists:
         for small in dists:
             if small is big or not small.scope <= big.scope:
                 continue
-            totals = _project(big, small.scope)
-            for m in range(1 << len(small.scope)):
-                total = totals.get(m, ZERO)
-                actual = small.mass_of_mask(m)
-                if total != actual:
-                    violations.append(
-                        ConsistencyViolation(
-                            big.scope, small.scope, prop.subset_of_mask(small.scope, m), total, actual
-                        )
-                    )
+            D, totals = _project(big, small.scope)
+            for m in sorted(totals.keys() | small.weights.keys()):
+                total, actual = totals.get(m, 0), small.weights.get(m, 0)
+                if total * small.D != actual * D:
+                    U = prop.subset_of_mask(small.scope, m)
+                    violations.append(ConsistencyViolation(
+                        big.scope, small.scope, U, Fraction(total, D), Fraction(actual, small.D)))
     return ConsistencyReport(violations)
 
 

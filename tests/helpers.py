@@ -212,13 +212,12 @@ def check_adams_by_formulas(P, pool) -> stochval.AdamsReport:
     return stochval.AdamsReport(violations)
 
 
-def findist_checks_by_fractions(scope, mass) -> int:
-    """Reference for ``stochval.FinDist.__post_init__``: the same checks in
-    the same order over ``Fraction`` masses, summed as ``Fraction``s.
-    Returns the hash a valid distribution gets."""
+def findist_checks_by_fractions(scope, mass) -> None:
+    """Reference for the checks of ``stochval.FinDist(scope, mass)``: the
+    same checks in the same order over ``Fraction`` masses, summed as
+    ``Fraction``s."""
     ZERO, ONE = Fraction(0), Fraction(1)
     DistributionError = stochval.DistributionError
-    hashed = hash((scope, mass))
     total = ZERO
     seen = -1
     for m, p in mass:
@@ -236,7 +235,6 @@ def findist_checks_by_fractions(scope, mass) -> int:
         total += p
     if total != ONE:
         raise DistributionError(f"masses sum to {total}, not 1")
-    return hashed
 
 
 def distribution_rows_by_points(alphas, scope, cap: int = prop.DEFAULT_SCOPE_CAP):
@@ -290,14 +288,16 @@ def pq_entails_by_formulas(deltas, alpha, thresholds, cap: int = prop.DEFAULT_SC
 
 def pq_entails_by_refutation(deltas, alpha, thresholds, cap: int = prop.DEFAULT_SCOPE_CAP) -> bool:
     """Reference for ``pqentail.pq_entails``: the hypotheses' tables ANDed,
-    then the witness memo ``pqentail._refuting_masses`` on that one table,
-    so each distinct table-level system is solved, whatever its cells."""
+    then the threshold system on that one table handed to
+    ``rcof.fm_feasible``, so each distinct table-level system is posed,
+    whatever its cells."""
     A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
     conjunction = (1 << (1 << len(A))) - 1
     for table in hypotheses:
         conjunction &= table
-    refutation = pqentail._refuting_masses(len(A), (conjunction,), conclusion, thresholds.p, thresholds.q)
-    return refutation is None
+    tables = (conjunction, conclusion)
+    atoms, _ = pqentail._system(ppl.cells(tables, len(A)), len(tables), thresholds.p, thresholds.q)
+    return rcof.fm_feasible(atoms) is None
 
 
 def findist_from_masks_by_fractions(scope, masses) -> stochval.FinDist:

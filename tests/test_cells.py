@@ -125,10 +125,8 @@ def test_find_refuting_valuation_matches_point_encoding():
         p = rng.choice([b for b in _BOUNDS if b >= q])
         cases.append((formulas[:-1], formulas[-1], p, q))
     # each pass starts from empty memos, so neither reads the other's answers
-    pqentail._refuting_masses.cache_clear()
     rcof._simplex.cache_clear()
     found = [pqentail.find_refuting_valuation(*case) for case in cases]
-    pqentail._refuting_masses.cache_clear()
     rcof._simplex.cache_clear()
     verdicts = set()
     for (deltas, alpha, p, q), V in zip(cases, found):

@@ -174,18 +174,18 @@ class TestMemo:
                 pqentail.find_refuting_valuation([wide], B1, F(1, 2), F(1, 2))
 
     def test_memo_is_bounded(self):
-        # the witness memo, the memo on tables and the memo on cell structures
-        for memo in (pqentail._refuting_masses, pqentail._entailed, pqentail._refutable):
+        # the memo on tables and the memo on cell structures
+        for memo in (pqentail._entailed, pqentail._refutable):
             assert memo.cache_info().maxsize == 4096
 
     def test_equal_tables_over_other_atoms_of_one_count_share_one_entry(self):
         B3, B5, B9 = prop.Atom(3), prop.Atom(5), prop.Atom(9)
         low = ([prop.disj(B2, B3)], B2)
         high = ([prop.disj(B5, B9)], B5)
-        pqentail._refuting_masses.cache_clear()
+        rcof._simplex.cache_clear()
         V = pqentail.find_refuting_valuation(*low, F(1, 2), F(1, 2))
         W = pqentail.find_refuting_valuation(*high, F(1, 2), F(1, 2))
-        info = pqentail._refuting_masses.cache_info()
+        info = rcof._simplex.cache_info()
         assert (info.hits, info.misses, info.currsize, info.maxsize) == (1, 1, 1, 4096)
         assert V.carrier == {2, 3} and W.carrier == {5, 9}
         for U, (deltas, alpha) in ((V, low), (W, high)):
@@ -196,7 +196,7 @@ class TestMemo:
         # T over {B1} and !B2 & T over {B1, B2} both have the table 0b11
         one, two = prop.parse("T"), prop.parse("!B2 & T")
         for order in ((one, two), (two, one)):
-            pqentail._refuting_masses.cache_clear()
+            _clear_memos()
             verdicts = {alpha: pqentail.hailperin_entails([], alpha, F(1), F(1)) for alpha in order}
             assert verdicts == {one: True, two: False}
 
@@ -204,11 +204,11 @@ class TestMemo:
         first = ([prop.disj(B1, B2)], B1)
         second = ([prop.disj(B2, B1)], prop.Not(prop.Not(B1)))
         assert first != second
-        pqentail._refuting_masses.cache_clear()
+        rcof._simplex.cache_clear()
         V = pqentail.find_refuting_valuation(*first, F(1, 2), F(1, 2))
-        before = pqentail._refuting_masses.cache_info()
+        before = rcof._simplex.cache_info()
         W = pqentail.find_refuting_valuation(*second, F(1, 2), F(1, 2))
-        after = pqentail._refuting_masses.cache_info()
+        after = rcof._simplex.cache_info()
         assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
         assert V is not None and W == V
         for deltas, alpha in (first, second):
@@ -229,7 +229,7 @@ class TestMemo:
         # the pool, hypothesis sets and threshold pairs of test_03
         pool = semantic_class_pool({1, 2})
         hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
-        pqentail._refuting_masses.cache_clear()
+        _clear_memos()
         verdicts = set()
         instances = 0
         for p, q in [(F(1), F(1)), (F(3, 4), F(1, 2)), (F(1, 2), F(1, 2)), (F(1, 10), F(1, 10))]:
@@ -258,7 +258,7 @@ class TestTableRoute:
         rng = random.Random(53)
         atoms = [2, 5, 9]
         drawn = [random_formula(rng, atoms, 3) for _ in range(40)]
-        pqentail._refuting_masses.cache_clear()
+        _clear_memos()
         verdicts = set()
         for _ in range(300):
             deltas = rng.sample(drawn, rng.randrange(4))
@@ -284,7 +284,7 @@ class TestTableRoute:
         def unreachable(*args):
             raise AssertionError("built on the table route")
 
-        pqentail._refuting_masses.cache_clear()
+        _clear_memos()
         monkeypatch.setattr(stochval, "from_cells", unreachable)
         monkeypatch.setattr(prop, "conj", unreachable)
         verdicts = set()
@@ -305,7 +305,7 @@ class TestTableRoute:
             pq_entails_by_formulas([], wide, t)
 
 
-MEMOS = (pqentail._entailed, pqentail._refutable, pqentail._refuting_masses, rcof._simplex)
+MEMOS = (pqentail._entailed, pqentail._refutable, rcof._simplex)
 
 
 def _clear_memos():
@@ -369,8 +369,8 @@ def _by_witnesses(instances, refute):
 
 class TestVerdictMemos:
     """The yes/no deciders, which share one system per cell structure,
-    against the witness memo, which solves each table-level system, and
-    against the point encoding with no memo."""
+    against the witnesses, which pose each table-level system, and against
+    the point encoding with no memo."""
 
     @pytest.mark.parametrize("instances", [_pool_sweep, _three_atom_instances, _chain_instances])
     def test_verdicts_equal_the_witnesses_in_either_order(self, instances):

@@ -518,7 +518,7 @@ def _posed_systems(run) -> list:
         posed.setdefault(atoms, None)
         return simplex(atoms)
 
-    for memo in (rcof._simplex, pqentail._refuting_masses, pqentail._entailed, pqentail._refutable):
+    for memo in (rcof._simplex, pqentail._entailed, pqentail._refutable):
         memo.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rcof, "fm_feasible", spy)
@@ -529,8 +529,8 @@ def _posed_systems(run) -> list:
 def _collapse_pool_sweep():
     """The sweep of acceptance test 03: every hypothesis set of at most two
     of the 2-atom classes, every conclusion, four threshold pairs.  Each
-    instance is decided through the witness memo as well, which poses every
-    distinct table-level system; ``pq_entails`` alone solves one system per
+    instance is decided through its table-level system as well, which poses
+    every distinct one; ``pq_entails`` alone solves one system per
     cell structure."""
     pool = semantic_class_pool({1, 2})
     hypothesis_sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))

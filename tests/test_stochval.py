@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -92,13 +93,83 @@ class TestFinDist:
             carrier = rng.sample(range(1, 8), rng.randint(1, 5))
             mass = random_valuation(rng, carrier, max_numerator=rng.choice([1, 3, 1000])).joint.mass
             scope = frozenset(carrier)
+            findist_checks_by_fractions(scope, mass)
             d = stochval.FinDist(scope, mass)
             assert d.mass == mass
-            assert hash(d) == findist_checks_by_fractions(scope, mass)
+            assert hash(d) == hash(stochval.FinDist.from_masks(scope, dict(mass)))
             for m in range(1 << len(scope)):
                 assert d.mass_of_mask(m) == dict(mass).get(m, 0)
             models = rng.getrandbits(1 << len(scope))
             assert d.mass_of_table(models) == sum((p for m, p in mass if models >> m & 1), F(0))
+
+    def test_subsets_outside_the_scope_are_rejected(self):
+        # with prop.phi's error, not read as the mass of their part inside
+        message = r"^\{2\} is not a subset of \{1\}$"
+        with pytest.raises(prop.ScopeError, match=message):
+            prop.phi(frozenset({1}), frozenset({2}))
+        d = stochval.FinDist.from_masks({1}, {0: F(1, 3), 1: F(2, 3)})
+        with pytest.raises(prop.ScopeError, match=message):
+            d.mass_of({2})
+        with pytest.raises(prop.ScopeError, match=message):
+            stochval.FinDist.point({1}, {2})
+
+
+def _in_lowest_terms(d: stochval.FinDist) -> bool:
+    """Integers only, masks ascending, no zero weight, gcd(D, weights) = 1."""
+    weights = list(d.weights.values())
+    return (
+        type(d.D) is int and all(type(w) is int and w > 0 for w in weights)
+        and list(d.weights) == sorted(d.weights) and math.gcd(d.D, *weights) == 1
+        and not any(isinstance(v, F) for v in vars(d).values())
+    )
+
+
+class TestOneStoredForm:
+    """Equal distributions compare and hash equal, whichever route built them."""
+
+    def test_a_projection_is_reduced(self):
+        # uniform over {1, 2} onto {1}: 2, 2 over 4, which is 1, 1 over 2
+        one = frozenset({1})
+        assert stochval._project(uniform({1, 2}).joint, one) == (4, {0: 2, 1: 2})
+        half = ((0, F(1, 2)), (1, F(1, 2)))
+        routes = [
+            stochval.FinDist(one, half),
+            stochval.FinDist.from_masks(one, dict(half)),
+            stochval.FinDist.uniform(one),
+            stochval.marginal(uniform({1, 2}), one),
+            stochval.marginal(uniform({2}), one),  # B1 a fair coin
+            stochval.svp(stochval.psv(uniform({1, 2})), one).joint,
+            stochval.svp(stochval.TableAssignment({B1: F(1, 2), prop.Not(B1): F(1, 2)}), one).joint,
+            stochval.from_cells(one, [0, 1], {0: F(1, 2), 1: F(1, 2)}).joint,
+            stochval.dist_from_json('{"carrier":[1],"mass":{"0":"1/2","1":"1/2"}}'),
+        ]
+        for d in routes:
+            assert (d.scope, d.D, d.weights) == (one, 2, {0: 1, 1: 1})
+            assert d == routes[0] and hash(d) == hash(routes[0])
+            assert d.mass == half
+
+    def test_every_route_builds_the_same_distribution(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            V = random_valuation(rng, rng.sample(range(1, 7), rng.randint(1, 4)))
+            A = frozenset(rng.sample(range(1, 7), rng.randint(1, 4)))
+            d = stochval.marginal(V, A)
+            table = stochval.TableAssignment({prop.phi(A, U): d.mass_of(U) for U in prop.subsets_ascending(A)})
+            points = [m for m, _ in d.mass]
+            routes = [
+                stochval.FinDist(A, d.mass),
+                stochval.FinDist.from_masks(A, dict(d.mass)),
+                marginal_by_subsets(V, A),
+                stochval.svp(stochval.psv(V), A).joint,
+                stochval.svp(table, A).joint,
+                stochval.from_cells(A, points, {c: p for c, (_, p) in enumerate(d.mass)}).joint,
+                stochval.dist_from_json(stochval.dist_to_json(d)),
+            ]
+            assert _in_lowest_terms(d)
+            for got in routes:
+                assert _in_lowest_terms(got)
+                assert got == d and hash(got) == hash(d)
+                assert (got.D, got.weights) == (d.D, d.weights)
 
 
 class TestMarginal:
@@ -144,8 +215,8 @@ class TestMarginal:
         scopes.append(frozenset(rng.sample(inside, rng.randrange(1, atoms + 1)) + outside[:1]))
         for d in (dense, sparse):
             for A in scopes:
-                got = stochval.FinDist.from_masks(A, stochval._project(d, A))
-                assert got == stochval.FinDist.from_masks(A, project_by_fractions(d, A))
+                D, weights = stochval._project(d, A)
+                assert {m: F(w, D) for m, w in weights.items()} == project_by_fractions(d, A)
 
 
 class TestProb:
@@ -240,6 +311,7 @@ class TestGaloisMaps:
             wider = V.carrier | {5}
             back = stochval.svp(stochval.psv(V), wider)
         assert back == stochval.StochasticValuation(wider, stochval.marginal(V, wider))
+        assert back.joint is stochval.marginal(V, wider)  # one marginal, passed through
         after = prop._models_mask.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
@@ -543,7 +615,7 @@ class TestCheckConsistency:
                 # move half of one point's mass onto another point
                 m, p = rng.choice(d.mass)
                 target = rng.randrange(1 << len(d.scope))
-                masses = d.as_mask_dict()
+                masses = dict(d.mass)
                 masses[m] -= p / 2
                 masses[target] = masses.get(target, F(0)) + p / 2
                 family[i] = stochval.FinDist.from_masks(d.scope, masses)
