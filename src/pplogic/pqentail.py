@@ -41,8 +41,10 @@ system itself, so each witness depends on its input alone; it turns the
 feasible point's cell masses into a valuation over A.  ``pq_entails`` ANDs
 the hypotheses' tables, so it builds no conjunction and the empty
 hypothesis set adds no atom to A, and it keys on its ``ThresholdPair``,
-whose hash is computed once.  Thresholds and the
-scope cap are checked on every call, before any memo is asked.
+whose hash is computed once.  ``collapse_check`` reads that conjunction
+table and the conclusion's from one ``prop.tables`` call for both of its
+halves.  Thresholds and the scope cap are checked on every call, before
+any memo is asked.
 """
 
 from __future__ import annotations
@@ -210,10 +212,7 @@ def pq_entails(
     single conjunction must reach p for the conclusion to owe q; the
     conjunction is the AND of the hypotheses' truth tables.
     """
-    A, (conclusion, *hypotheses) = prop.tables([alpha, *deltas], cap)
-    conjunction = (1 << (1 << len(A))) - 1
-    for table in hypotheses:
-        conjunction &= table
+    A, conjunction, conclusion = prop._conjoined(deltas, alpha, cap)
     return _entailed(len(A), (conjunction,), conclusion, thresholds)
 
 
@@ -223,9 +222,10 @@ def collapse_check(
     thresholds: ThresholdPair,
     cap: int = prop.DEFAULT_SCOPE_CAP,
 ) -> Tuple[bool, bool]:
-    """Classical entailment next to threshold entailment; the two must agree."""
-    deltas = list(deltas)
+    """Classical entailment next to threshold entailment; the two must
+    agree.  Both read one conjunction table and conclusion table."""
+    A, conjunction, conclusion = prop._conjoined(deltas, alpha, cap)
     return (
-        prop.entails_c(deltas, alpha, cap),
-        pq_entails(deltas, alpha, thresholds, cap),
+        conjunction & ~conclusion == 0,
+        _entailed(len(A), (conjunction,), conclusion, thresholds),
     )

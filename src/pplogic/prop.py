@@ -358,13 +358,21 @@ def models_over(alpha: PropFormula, A: Scope, cap: int = DEFAULT_SCOPE_CAP) -> f
     return frozenset(c.trues for c in dnf(alpha, A, cap))
 
 
+def _conjoined(deltas: Iterable[PropFormula], alpha: PropFormula, cap: int) -> tuple:
+    """``(A, the AND of the hypotheses' truth tables, the conclusion's
+    table)`` over the union scope A, from one ``tables`` call; the empty
+    hypothesis set is true on every row and adds no atom to A."""
+    A, (conclusion, *hypotheses) = tables([alpha, *deltas], cap)
+    conjunction = (1 << (1 << len(A))) - 1
+    for m in hypotheses:
+        conjunction &= m
+    return A, conjunction, conclusion
+
+
 def entails_c(deltas: Iterable[PropFormula], alpha: PropFormula, cap: int = DEFAULT_SCOPE_CAP) -> bool:
     """Classical entailment over the union scope, by brute-force enumeration."""
-    A, (conclusion, *hypotheses) = tables([alpha, *deltas], cap)
-    models = (1 << (1 << len(A))) - 1
-    for m in hypotheses:
-        models &= m
-    return models & ~conclusion == 0
+    _, conjunction, conclusion = _conjoined(deltas, alpha, cap)
+    return conjunction & ~conclusion == 0
 
 
 def phi(A: Scope, U: frozenset) -> PropFormula:

@@ -6,7 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from pplogic import ppl, pqentail, prop, rcof, stochval
+from pplogic import ppl, pqentail, prop, rcof, stochval, validity
+from pplogic.config import Config
 
 
 def random_formula(rng: random.Random, atom_indices, depth: int) -> prop.PropFormula:
@@ -572,6 +573,27 @@ def decide_by_field_formula(phi: ppl.PplFormula):
     scope = frozenset().union(*(prop.atoms_of(a) for a in alphas))
     matrix = rcof.Implies(build_Q_by_points(alphas, scope), translate_truth_as_variable(phi))
     return rcof.decide(matrix), scope
+
+
+def decide_validity_by_instance(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
+    """Reference for ``validity.decide_validity``: the decider before its
+    verdict memo, which builds and decides every formula's own system over
+    ``ppl.distribution_rows``."""
+    config = config or Config()
+    alphas = validity.probability_formulas(phi)
+    scope = validity.ppl_scope(phi)
+    psi = ppl.translate(phi)
+    rows, sums, points = ppl.distribution_rows(alphas, scope, cap=config.scope_cap)
+    try:
+        decision = rcof.decide_universal_linear(
+            psi, config.clause_cap, rows, rcof.VarTable(sums, scope, points)
+        )
+    except rcof.NonlinearTermError:
+        decision = rcof.decide(validity.field_sentence(phi, config.scope_cap), config)
+    V = decision.valuation
+    if V is not None and ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):
+        raise AssertionError("recovered witness does not refute the formula")
+    return decision
 
 
 def taut_by_rows(phi: ppl.PplFormula, max_atoms: int = prop.DEFAULT_SCOPE_CAP) -> bool:

@@ -10,6 +10,7 @@ import pytest
 from pplogic import ppl, pqentail, prop, rcof, stochval, validity
 
 from .helpers import (
+    decide_validity_by_instance,
     distribution_rows_by_points,
     find_refuting_valuation_by_points,
     random_formula,
@@ -104,10 +105,11 @@ def test_decide_validity_matches_point_encoding(monkeypatch):
         phi = _random_ppl(rng, alphas, 2)
         cases.append((phi, validity.ppl_scope(phi)))
     decisions = [validity.decide_validity(phi) for phi, _ in cases]
+    # the per-instance decider builds every system over distribution_rows
     monkeypatch.setattr(ppl, "distribution_rows", distribution_rows_by_points)
     statuses = set()
     for (phi, scope), decision in zip(cases, decisions):
-        reference = validity.decide_validity(phi)
+        reference = decide_validity_by_instance(phi)
         assert decision.status == reference.status, ppl.to_text(phi)
         if decision.status == rcof.INVALID:
             _assert_refutes(decision, phi, scope)

@@ -12,11 +12,12 @@ import importlib
 import json
 import pkgutil
 import random
+from fractions import Fraction
 
 import pytest
 
 import pplogic
-from pplogic import cli, config
+from pplogic import cli, config, ppl, pqentail, prop, validity
 
 EXIT_CODES = {0, 1, 2, 3}
 CASES = 200  # per subcommand
@@ -164,12 +165,39 @@ def test_random_malformed_inputs_get_an_exit_code(command, tmp_path, capsys, mon
         assert code in EXIT_CODES, argv
 
 
-def test_every_module_cache_is_bounded():
+def _module_values() -> dict:
+    return {
+        f"{module.name}.{name}": value
+        for module in pkgutil.iter_modules(pplogic.__path__, "pplogic.")
+        for name, value in vars(importlib.import_module(module.name)).items()
+        if not name.startswith("__")
+    }
+
+
+def test_every_module_cache_is_bounded(monkeypatch):
     # long-lived library use must not grow a functools cache without bound
-    caches = {}
-    for module in pkgutil.iter_modules(pplogic.__path__, "pplogic."):
-        for name, value in vars(importlib.import_module(module.name)).items():
-            if callable(getattr(value, "cache_info", None)):
-                caches[f"{module.name}.{name}"] = value.cache_info().maxsize
+    caches = {
+        name: value.cache_info().maxsize
+        for name, value in _module_values().items()
+        if callable(getattr(value, "cache_info", None))
+    }
     assert len(caches) >= 8
     assert [name for name, maxsize in caches.items() if maxsize is None] == []
+    # nor any module-level dict, list or set: a memo kept in one would be
+    # neither bounded nor emptied with the functools caches
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in _module_values().items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    monkeypatch.delenv(config.SOLVER_ENV_VAR, raising=False)
+    before = sizes()
+    assert len(before) >= 2
+    for text in ("P(B5) <= 1", "P(B5 & B6) < 1/3", "P(B5) = x1 -> P(B5 | B6) >= x1", "P(B6) < x2 * x2"):
+        validity.decide_validity(ppl.parse(text))
+    t = pqentail.ThresholdPair(Fraction(2, 3), Fraction(1, 3))
+    for deltas, alpha in (([], "B5 | !B5"), (["B5", "B5 -> B6"], "B6"), (["B5 | B6"], "B5")):
+        pqentail.collapse_check([prop.parse(d) for d in deltas], prop.parse(alpha), t)
+    assert sizes() == before

@@ -553,9 +553,11 @@ def test_integer_tableau_equals_the_fraction_tableau(monkeypatch):
     # the same pivots in the same order, so the same vertex: equal dicts, not
     # only equal verdicts
     systems = [tuple(atoms) for atoms in _pairing_systems()]
-    systems += _posed_systems(lambda: [validity.decide_validity(phi) for phi in _reference_formulas()])
+    # the per-instance decider poses every formula's system, not one per
+    # cell structure
+    systems += _posed_systems(lambda: [helpers.decide_validity_by_instance(phi) for phi in _reference_formulas()])
     systems += _posed_systems(_collapse_pool_sweep)
-    systems += _posed_systems(lambda: validity.decide_validity(_wide_lp(6)))
+    systems += _posed_systems(lambda: helpers.decide_validity_by_instance(_wide_lp(6)))
     pivots = {"int": 0, "fraction": 0}
 
     def counted(name, pivot):

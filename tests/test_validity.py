@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -11,8 +12,10 @@ from .helpers import (
     build_Q_by_points,
     corpus_ppl_formula,
     decide_by_field_formula,
+    decide_validity_by_instance,
     random_formula,
     random_valuation,
+    semantic_class_pool,
 )
 
 B1, B2 = prop.Atom(1), prop.Atom(2)
@@ -268,6 +271,23 @@ def _assert_lists_support_only(witness, alphas, scope):
     assert listed - named == support - named
 
 
+def _rr_instances() -> list:
+    """400 threshold implications ``(phi, hypotheses, conclusion)``, each
+    threshold an ``(alpha, relation, bound)``."""
+    rng = random.Random(61)
+    instances = []
+    for _ in range(400):
+        hypotheses = [_random_threshold(rng) for _ in range(rng.randint(0, 3))]
+        conclusion = _random_threshold(rng)
+        phi = _threshold_formula(*conclusion)
+        if hypotheses:
+            phi = ppl.PplImplies(
+                ppl.pand_all(_threshold_formula(*h) for h in hypotheses), phi
+            )
+        instances.append((phi, hypotheses, conclusion))
+    return instances
+
+
 def test_check_rr_matches_field_formula_reference():
     # the reference is the field sentence RR checking built on its own: each
     # relation one atom on its formula's variable, P(T) a variable too
@@ -277,16 +297,8 @@ def test_check_rr_matches_field_formula_reference():
         "<=": rcof.Le,
         ">=": lambda x, t: rcof.Le(t, x),
     }
-    rng = random.Random(61)
     statuses = set()
-    for _ in range(400):
-        hypotheses = [_random_threshold(rng) for _ in range(rng.randint(0, 3))]
-        conclusion = _random_threshold(rng)
-        phi = _threshold_formula(*conclusion)
-        if hypotheses:
-            phi = ppl.PplImplies(
-                ppl.pand_all(_threshold_formula(*h) for h in hypotheses), phi
-            )
+    for phi, hypotheses, conclusion in _rr_instances():
         everything = [a for a, _, _ in hypotheses] + [conclusion[0]]
         scope = frozenset().union(*(prop.atoms_of(a) for a in everything))
         side = [build_Q_by_points(everything, scope)]
@@ -311,8 +323,119 @@ def _ge_family(k: int) -> ppl.PplFormula:
 def test_greater_equal_family_takes_one_simplex_call(monkeypatch):
     # the work is counted, not timed: each clause of the negated matrix
     # costs one simplex call
+    validity._decided.cache_clear()
     calls = []
     feasible = rcof.fm_feasible
     monkeypatch.setattr(rcof, "fm_feasible", lambda atoms: calls.append(1) or feasible(atoms))
     assert validity.decide_validity(_ge_family(10)).status == rcof.VALID
     assert len(calls) == 1
+
+
+# -- the verdict memo against the per-instance decider --------------------------
+
+
+def test_memo_matches_the_per_instance_decider(monkeypatch):
+    # status, reason, witness and valuation alike with the memo cold, warm,
+    # and filled in reversed order: an INVALID decision is its input's own
+    monkeypatch.delenv(config.SOLVER_ENV_VAR, raising=False)
+    cases = [(validity.decide_validity, phi) for phi in _reference_formulas()]
+    cases += [(calculus.check_rr, phi) for phi, _, _ in _rr_instances()]
+    expected = [decide_validity_by_instance(phi) for _, phi in cases]
+    order = list(range(len(cases)))
+    for fresh, indices in ((True, order), (False, order), (True, order[::-1])):
+        if fresh:
+            validity._decided.cache_clear()
+        for i in indices:
+            decide, phi = cases[i]
+            assert decide(phi) == expected[i], ppl.to_text(phi)
+    statuses = [d.status for d in expected]
+    assert statuses.count(rcof.VALID) >= 100 and statuses.count(rcof.INVALID) >= 100
+    assert statuses.count(rcof.UNSUPPORTED) >= 10
+    info = validity._decided.cache_info()
+    assert info.maxsize == 4096 and 0 < info.currsize < len(cases)
+
+
+def test_memo_keeps_no_witness_and_no_nonlinear_verdict(monkeypatch):
+    monkeypatch.delenv(config.SOLVER_ENV_VAR, raising=False)
+    posed = []
+    decided = validity._decided
+    monkeypatch.setattr(validity, "_decided", lambda p: posed.append(p) or decided(p))
+    decided.cache_clear()
+    for _ in range(2):  # a miss, then a hit
+        d = validity.decide_validity(ppl.parse("P(B1) < 1/2"))
+        assert d.status == rcof.INVALID and d.witness is not None and d.valuation is not None
+    assert decided.cache_info().currsize == 1
+    assert [p.invalid for p in posed] == [None, None]
+    assert posed[0].phi is None and posed[0].cells is None  # the memo keeps the key alone
+    d = validity.decide_validity(ppl.parse("P(B1) < x1 * x1"))
+    assert d.status == rcof.UNSUPPORTED and decided.cache_info().currsize == 1
+
+
+def _pool_rr_checks() -> tuple:
+    """``P(d1) = 1 & P(d2) = 1 -> P(a) = 1`` over the 2-atom class pool for
+    every hypothesis set of at most two classes and every conclusion, split
+    into the RR axioms and the rest by classical entailment."""
+    pool = semantic_class_pool({1, 2})
+    sets = [()] + [(a,) for a in pool] + list(itertools.combinations(pool, 2))
+    valid, invalid = [], []
+    for deltas in sets:
+        for alpha in pool:
+            phi = ppl.PplAtom(alpha, "=", rcof.ONE)
+            if deltas:
+                hypotheses = ppl.pand_all(ppl.PplAtom(d, "=", rcof.ONE) for d in deltas)
+                phi = ppl.PplImplies(hypotheses, phi)
+            (valid if prop.entails_c(deltas, alpha) else invalid).append(phi)
+    return valid, invalid
+
+
+def test_warm_rr_axioms_linearize_nothing(monkeypatch):
+    valid, invalid = _pool_rr_checks()
+    calls = []
+    linear_matrix = rcof._linear_matrix
+    monkeypatch.setattr(rcof, "_linear_matrix", lambda f, table: calls.append(1) or linear_matrix(f, table))
+    validity._decided.cache_clear()
+    for phi in valid:
+        assert calculus.check_rr(phi).status == rcof.VALID
+    assert calls
+    calls.clear()
+    for phi in valid:
+        assert calculus.check_rr(phi).status == rcof.VALID
+    assert calls == []
+    # an INVALID decision, from a miss or a hit, linearizes its own matrix
+    # once, as the per-instance decider does
+    validity._decided.cache_clear()
+    for phi in invalid[::7]:
+        calls.clear()
+        decide_validity_by_instance(phi)
+        by_instance = len(calls)
+        for _ in range(2):
+            calls.clear()
+            assert calculus.check_rr(phi).status == rcof.INVALID
+            assert 0 < len(calls) <= by_instance
+
+
+def test_deep_chain_is_walked_without_recursion():
+    # a right-nested chain of 20,000 implications, built without the parser
+    phi = ppl.PplAtom(prop.Atom(1), "<", rcof.ONE)
+    for i in range(20_000):
+        phi = ppl.PplImplies(ppl.PplAtom(prop.Atom(1 + i % 3), "=", rcof.const(F(i % 4, 4))), phi)
+    assert validity.probability_formulas(phi) == [B2, B1, prop.Atom(3)]
+    assert validity.ppl_scope(phi) == {1, 2, 3}
+    _, shape = validity._walk(phi)
+    assert not any(isinstance(token, tuple) for token in shape)
+    assert len(shape) == 4 * 20_000 + 3
+    hash(shape)
+
+
+def test_a_bound_naming_a_probability_formula_keys_by_its_index():
+    # P(B1) = x_B1 is valid; in P(B2) = x_B1 the formula B1 is no probability
+    # formula, so x_B1 is a variable of its own and the formula is not
+    same = ppl.PplAtom(B1, "=", rcof.FormulaVar(B1))
+    free = ppl.PplAtom(B2, "=", rcof.FormulaVar(B1))
+    expected = {same: rcof.VALID, free: rcof.INVALID}
+    for order in ([same, free], [free, same]):
+        validity._decided.cache_clear()
+        for phi in order:
+            decision = validity.decide_validity(phi)
+            assert decision == decide_validity_by_instance(phi)
+            assert decision.status == expected[phi]
