@@ -6,7 +6,8 @@ atom set, forms every hypothesis set of size <= 2, and compares the
 conjunctive threshold entailment with classical entailment at several
 threshold pairs.  The two relations are expected to coincide everywhere.
 Next to each pair's time it prints the work done: the misses of the memo
-on truth tables, of the memo on cell structures and of the simplex memo.
+on truth tables, of the one memo on cell structures (``validity``'s, which
+threshold, validity and RR verdicts share) and of the simplex memo.
 """
 
 import argparse
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # the tests package
 
-from pplogic import pqentail, rcof
+from pplogic import pqentail, rcof, validity
 from tests.helpers import semantic_class_pool
 
 DEFAULT_THRESHOLDS = "1/1:1/1,3/4:1/2,1/2:1/2,1/10:1/10"
@@ -56,7 +57,7 @@ def sweep(pool, hypothesis_sets, t) -> tuple:
 
 MEMOS = {
     "table-level": pqentail._entailed,
-    "cell-structure": pqentail._refutable,
+    "cell-structure": validity._decided,
     "simplex": rcof._simplex,
 }
 

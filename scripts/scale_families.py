@@ -32,7 +32,7 @@ Families:
 * ``disjunctive``: ``pplogic valid '(P(B1) = 1/2 | P(B1) = 1/3) & ... &
   (P(Bk) = 1/2 | P(Bk) = 1/3) -> P(B1) < 1'`` at k = 4, 6, 8 (valid,
   exit 0): 2^k clauses, each its own simplex call over 2^k cells.  At
-  k = 8 one run takes minutes.
+  k = 8 one run took 9 to 11 s on a 2-core Intel Xeon with Python 3.11.
 
 Each case runs three times with pplogic's memo tables emptied first, and
 reports the median wall-clock seconds, the exit code and the bytes

@@ -27,24 +27,24 @@ signature is the bitmask of the tables that contain it, and two lists of
 as many tables with one signature set pose one linear program up to the
 order of its variables.
 
-So the yes/no deciders ``pq_entails`` and ``hailperin_entails`` ask two
-bounded memos of 4,096 systems each.  The front memo is keyed on (|A|, the
-hypotheses' tables, the conclusion's table, p, q).  Only a miss there
-reads the signatures, from the cells ``ppl.cells`` refines for
-``ppl.cell_rows``, and asks the cell-structure memo, keyed on (number of
-tables, sorted signatures, p, q).  Only a miss there builds a linear
-program: that of the caller that posed it, in ``cell_rows``' order, the
-system ``validity`` poses for the same formulas, so the two share the
-simplex memo of ``rcof``.  ``find_refuting_valuation`` builds its own
-formulas' system and asks only that simplex memo, which is keyed on the
-system itself, so each witness depends on its input alone; it turns the
-feasible point's cell masses into a valuation over A.  ``pq_entails`` ANDs
-the hypotheses' tables, so it builds no conjunction and the empty
-hypothesis set adds no atom to A, and it keys on its ``ThresholdPair``,
-whose hash is computed once.  ``collapse_check`` reads that conjunction
-table and the conclusion's from one ``prop.tables`` call for both of its
-halves.  Thresholds and the scope cap are checked on every call, before
-any memo is asked.
+So the yes/no deciders ``pq_entails`` and ``hailperin_entails`` ask a
+bounded memo of 4,096 verdicts keyed on (|A|, the hypotheses' tables, the
+conclusion's table, p, q).  Only a miss there reads the signatures, from
+the cells ``ppl.cells`` refines for ``ppl.cell_rows``, and asks the one
+cell-structure memo, ``validity``'s, under a shape of its own that carries
+p and q.  Only a miss there builds a linear program: that of the caller
+that posed it, in ``cell_rows``' order, the system ``validity`` poses for
+the same formulas, so the two share the simplex memo of ``rcof``; it is
+handed to ``rcof.fm_feasible`` alone, with no formula and no witness built.
+``find_refuting_valuation`` builds its own formulas' system and asks only
+that simplex memo, which is keyed on the system itself, so each witness
+depends on its input alone; it turns the feasible point's cell masses into
+a valuation over A.  ``pq_entails`` ANDs the hypotheses' tables, so it
+builds no conjunction and the empty hypothesis set adds no atom to A, and
+it keys on its ``ThresholdPair``, whose hash is computed once.
+``collapse_check`` reads that conjunction table and the conclusion's from
+one ``prop.tables`` call for both of its halves.  Thresholds and the scope
+cap are checked on every call, before any memo is asked.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
-from . import ppl, prop, rcof, stochval
+from . import ppl, prop, rcof, stochval, validity
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Distinct threshold systems each memo keeps.
+# Distinct table-level verdicts the memo keeps.
 _SYSTEMS = 4096
 
 
@@ -67,9 +67,10 @@ class InvalidThresholds(ValueError):
     """Threshold pair outside 0 < q <= p <= 1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Thresholds:
-    """p and q as a memo key, hashed once; the range is the caller's to check."""
+    """p and q as a memo key, hashed once, equal to any key of equal p and
+    q whatever its class; the range is the caller's to check."""
 
     p: Fraction
     q: Fraction
@@ -79,6 +80,9 @@ class _Thresholds:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, _Thresholds) and self.p == other.p and self.q == other.q
 
 
 class ThresholdPair(_Thresholds):
@@ -153,35 +157,14 @@ def _system(cells: list, k: int, p: Fraction, q: Fraction) -> tuple:
 @lru_cache(maxsize=_SYSTEMS)
 def _entailed(n: int, hypotheses: tuple, conclusion: int, thresholds: _Thresholds) -> bool:
     """The yes/no verdict of ``hailperin_entails`` for truth tables over any
-    scope of n atoms; a miss asks the cell-structure memo."""
+    scope of n atoms; a miss asks ``validity``'s cell-structure memo under
+    the shape ``(_Thresholds, thresholds)``, whose miss solves this system."""
     tables = (*hypotheses, conclusion)
-    return not _refutable(_CellStructure(ppl.cells(tables, n), len(tables), thresholds))
-
-
-class _CellStructure:
-    """The cell-structure memo's key: hash and equality read only the number
-    of tables, their sorted cell signatures, p and q.  The cells of the
-    caller that posed it ride along, so a miss solves that caller's system."""
-
-    __slots__ = ("cells", "k", "p", "q", "_key", "_hash")
-
-    def __init__(self, cells: list, k: int, thresholds: _Thresholds):
-        self.cells, self.k, self.p, self.q = cells, k, thresholds.p, thresholds.q
-        self._key = (k, tuple(sorted(s for _, s in cells)), self.p, self.q)
-        self._hash = hash(self._key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self._key == other._key
-
-
-@lru_cache(maxsize=_SYSTEMS)
-def _refutable(system: _CellStructure) -> bool:
-    """Whether the threshold system of ``system`` is feasible."""
-    atoms, _ = _system(system.cells, system.k, system.p, system.q)
-    return rcof.fm_feasible(atoms) is not None
+    cells = ppl.cells(tables, n)
+    return validity._decided(validity._Posed(
+        lambda: rcof.fm_feasible(_system(cells, len(tables), thresholds.p, thresholds.q)[0]) is None,
+        (_Thresholds, thresholds), len(tables), cells, None,
+    ))
 
 
 def hailperin_entails(

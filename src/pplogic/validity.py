@@ -23,14 +23,14 @@ formulas, its cells in lowest-point order, so its witness and valuation
 depend on the input alone; the miss that finds a structure INVALID hands
 its decision to its caller, so no instance is solved twice, and the memo
 keeps no witness.  A nonlinear formula never enters the memo: its answer
-comes from the configured solver.
+comes from the configured solver.  ``pqentail`` asks the same memo for its
+threshold verdicts, under a shape that no formula has.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from . import ppl, prop, rcof, stochval
 from .config import Config
@@ -142,19 +142,16 @@ def field_sentence(phi: ppl.PplFormula, cap: int = Config.scope_cap) -> rcof.For
 
 
 class _Posed:
-    """The verdict memo's key: hash and equality read only the shape, the
-    number of probability formulas, their sorted cell signatures and the
-    clause cap.  The poser's formula, probability formulas, scope and cells
-    ride along, so a miss decides the poser's own system, and are dropped
-    then."""
+    """The cell-structure memo's key: hash and equality read only the
+    shape, the number of formulas or tables, their sorted cell signatures
+    and the clause cap.  The poser's solver rides along, so a miss solves
+    the poser's own system, and is dropped then."""
 
-    __slots__ = ("phi", "alphas", "scope", "cells", "clause_cap", "invalid", "_key", "_hash")
+    __slots__ = ("solve", "_key", "_hash")
 
-    def __init__(self, phi, alphas: list, scope: prop.Scope, cells: list, shape: tuple, clause_cap: int):
-        self.phi, self.alphas, self.scope, self.cells = phi, alphas, scope, cells
-        self.clause_cap = clause_cap
-        self.invalid = None  # the INVALID decision of a miss, until its caller takes it
-        self._key = (shape, len(alphas), tuple(sorted(s for _, s in cells)), clause_cap)
+    def __init__(self, solve, shape: tuple, k: int, cells: list, clause_cap):
+        self.solve = solve
+        self._key = (shape, k, tuple(sorted(s for _, s in cells)), clause_cap)
         self._hash = hash(self._key)
 
     def __hash__(self):
@@ -163,26 +160,13 @@ class _Posed:
     def __eq__(self, other):
         return self._key == other._key
 
-    def solve(self) -> rcof.Decision:
-        """The decision of the poser's system, over the polytope rows of its
-        cells in lowest-point order; raises NonlinearTermError for a
-        nonlinear translation."""
-        rows, sums, points = ppl.cell_rows(self.cells, len(self.alphas))
-        table = rcof.VarTable(dict(zip(self.alphas, sums)), self.scope, points)
-        return rcof.decide_universal_linear(ppl.translate(self.phi), self.clause_cap, rows, table)
-
 
 @lru_cache(maxsize=_VERDICTS)
-def _decided(posed: _Posed) -> Optional[rcof.Decision]:
-    """The VALID or clause-cap UNSUPPORTED decision of ``posed``'s cell
-    structure, or None when it is INVALID; the miss that finds it INVALID
-    leaves its decision on ``posed`` for the caller to take."""
-    decision = posed.solve()
-    posed.phi = posed.alphas = posed.scope = posed.cells = None  # the memo keeps the key alone
-    if decision.status == rcof.INVALID:
-        posed.invalid = decision
-        return None
-    return decision
+def _decided(posed: _Posed):
+    """The verdict of ``posed``'s cell structure: on a miss, its poser's
+    solver's answer, which must hold no witness."""
+    verdict, posed.solve = posed.solve(), None  # the memo keeps the key alone
+    return verdict
 
 
 def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision:
@@ -198,14 +182,27 @@ def decide_validity(phi: ppl.PplFormula, config: Config = None) -> rcof.Decision
     config = config or Config()
     alphas, shape = _walk(phi)
     scope, tables = prop.tables(alphas, config.scope_cap, _scope(alphas))
-    posed = _Posed(phi, alphas, scope, ppl.cells(tables, len(scope)), shape, config.clause_cap)
+    cells = ppl.cells(tables, len(scope))
+    invalid = []  # this caller's INVALID decision, once solved
+
+    def solve():
+        """This caller's decision over the rows of its cells in lowest-point
+        order; an INVALID one is left in ``invalid``, and the memo gets None."""
+        rows, sums, points = ppl.cell_rows(cells, len(alphas))
+        table = rcof.VarTable(dict(zip(alphas, sums)), scope, points)
+        decision = rcof.decide_universal_linear(ppl.translate(phi), config.clause_cap, rows, table)
+        if decision.status != rcof.INVALID:
+            return decision
+        invalid.append(decision)
+
     try:
-        decision = _decided(posed)
+        decision = _decided(_Posed(solve, shape, len(alphas), cells, config.clause_cap))
     except rcof.NonlinearTermError:
         decision = rcof.decide(field_sentence(phi, config.scope_cap), config)
-    if decision is None:  # INVALID: the witness is this caller's
-        decision = posed.invalid or posed.solve()
-        posed.invalid = None
+    if decision is None:  # INVALID: the witness is this caller's, from the miss or solved now
+        if not invalid:
+            solve()
+        decision = invalid[0]
     V = decision.valuation
     if V is not None and ppl.ppl_sat(V, decision.witness, phi, config.scope_cap):  # pragma: no cover - self-check
         raise AssertionError("recovered witness does not refute the formula")

@@ -4,6 +4,7 @@ used by the experiment scripts."""
 from __future__ import annotations
 
 import random
+import types
 from fractions import Fraction
 
 from pplogic import ppl, pqentail, prop, rcof, stochval, validity
@@ -299,6 +300,21 @@ def pq_entails_by_refutation(deltas, alpha, thresholds, cap: int = prop.DEFAULT_
     tables = (conjunction, conclusion)
     atoms, _ = pqentail._system(ppl.cells(tables, len(A)), len(tables), thresholds.p, thresholds.q)
     return rcof.fm_feasible(atoms) is None
+
+
+def assert_key_alone(posed) -> None:
+    """Assert that a key the cell-structure memo stored holds its key and
+    nothing of its poser: no solver, no cells, no decision, witness or
+    valuation."""
+    poser_state = (list, dict, types.FunctionType, rcof.Decision, rcof.Assignment, stochval.StochasticValuation)
+    assert posed.solve is None
+    stack = [getattr(posed, slot) for slot in posed.__slots__]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            stack += value
+        else:
+            assert not isinstance(value, poser_state), value
 
 
 def findist_from_masks_by_fractions(scope, masses) -> stochval.FinDist:

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from pplogic import ppl, pqentail, prop, rcof, stochval
+from pplogic import ppl, pqentail, prop, rcof, stochval, validity
 
 from .helpers import (
+    assert_key_alone,
+    decide_validity_by_instance,
     find_refuting_valuation_by_points,
     pq_entails_by_formulas,
     random_formula,
@@ -174,8 +176,8 @@ class TestMemo:
                 pqentail.find_refuting_valuation([wide], B1, F(1, 2), F(1, 2))
 
     def test_memo_is_bounded(self):
-        # the memo on tables and the memo on cell structures
-        for memo in (pqentail._entailed, pqentail._refutable):
+        # the memo on tables and the one memo on cell structures
+        for memo in (pqentail._entailed, validity._decided):
             assert memo.cache_info().maxsize == 4096
 
     def test_equal_tables_over_other_atoms_of_one_count_share_one_entry(self):
@@ -305,7 +307,7 @@ class TestTableRoute:
             pq_entails_by_formulas([], wide, t)
 
 
-MEMOS = (pqentail._entailed, pqentail._refutable, rcof._simplex)
+MEMOS = (pqentail._entailed, validity._decided, rcof._simplex)
 
 
 def _clear_memos():
@@ -412,7 +414,7 @@ class TestVerdictMemos:
         monkeypatch.setattr(rcof, "_simplex", lambda atoms: asked.append(atoms) or simplex(atoms))
         for deltas, alpha in (first, second):
             assert pqentail.hailperin_entails(deltas, alpha, F(1, 2), F(1, 2)) is False
-        info = pqentail._refutable.cache_info()
+        info = validity._decided.cache_info()
         assert (info.misses, info.hits, pqentail._entailed.cache_info().misses) == (1, 1, 2)
         assert len(asked) == 1
 
@@ -447,6 +449,98 @@ class TestVerdictMemos:
             pqentail.pq_entails(deltas, alpha, t)
         assert pqentail._entailed.cache_info().hits >= len(instances)
         assert hashes == []
+
+    def test_equal_thresholds_of_either_class_share_one_entry(self):
+        t = pqentail.ThresholdPair(F(1, 2), F(1, 2))
+        assert pqentail._Thresholds(F(1, 2), F(1, 2)) == t and t == pqentail._Thresholds(F(1, 2), F(1, 2))
+        assert t != pqentail._Thresholds(F(1, 2), F(1, 3)) and t != (F(1, 2), F(1, 2))
+        deltas = [prop.parse("B1 | B2")]
+        _clear_memos()
+        assert pqentail.hailperin_entails(deltas, B1, F(1, 2), F(1, 2)) is False
+        assert pqentail.pq_entails(deltas, B1, t) is False
+        info = pqentail._entailed.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_cell_structure_hit_hashes_no_fraction(self, monkeypatch):
+        instances = _pool_sweep()
+        _clear_memos()
+        for deltas, alpha, t in instances:
+            pqentail.pq_entails(deltas, alpha, t)
+        pqentail._entailed.cache_clear()
+        before = validity._decided.cache_info()
+        hashes = []
+        fraction_hash = F.__hash__
+        monkeypatch.setattr(F, "__hash__", lambda self: hashes.append(1) or fraction_hash(self))
+        for deltas, alpha, t in instances:
+            pqentail.pq_entails(deltas, alpha, t)
+        after = validity._decided.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        assert hashes == []
+
+
+def _threshold_sentence(deltas, alpha, p, q) -> ppl.PplFormula:
+    """``P(d1) >= p & ... -> P(alpha) >= q``, the sentence whose validity is
+    hypothesis-wise threshold entailment."""
+    conclusion = f"P({prop.to_text(alpha)}) >= {q}"
+    if not deltas:
+        return ppl.parse(conclusion)
+    hypotheses = " & ".join(f"P({prop.to_text(d)}) >= {p}" for d in deltas)
+    return ppl.parse(f"{hypotheses} -> {conclusion}")
+
+
+class TestOneCellMemo:
+    """Threshold verdicts and validity verdicts posed to the one memo of
+    cell structures, against each poser's reference."""
+
+    @pytest.mark.parametrize("instances", [_three_atom_instances, _chain_instances])
+    def test_threshold_entailment_is_the_validity_of_its_sentence(self, instances):
+        instances = [(deltas, alpha, t.p, t.q) for deltas, alpha, t in instances()]
+        sentences = [_threshold_sentence(*instance) for instance in instances]
+        entailed = [find_refuting_valuation_by_points(*instance) is None for instance in instances]
+        decisions = [decide_validity_by_instance(phi) for phi in sentences]
+        assert [d.status == rcof.VALID for d in decisions] == entailed
+        assert set(entailed) == {True, False}
+        # the two posers interleaved, the memo cold, warm and filled in
+        # reversed order
+        order = list(range(len(instances)))
+        for fresh, indices in ((True, order), (False, order), (True, order[::-1])):
+            if fresh:
+                _clear_memos()
+            for i in indices:
+                assert pqentail.hailperin_entails(*instances[i]) is entailed[i]
+                assert validity.decide_validity(sentences[i]) == decisions[i]
+
+    def test_a_threshold_and_a_validity_poser_never_share_an_entry(self):
+        deltas, alpha, half = [prop.parse("B1 | B2")], B1, F(1, 2)
+        phi = _threshold_sentence(deltas, alpha, half, half)
+        alphas, shape = validity._walk(phi)
+        assert alphas == [*deltas, alpha]
+        cells = ppl.cells(prop.tables(alphas)[1], 2)
+        threshold = validity._Posed(None, (pqentail._Thresholds, pqentail._Thresholds(half, half)), 2, cells, 0)
+        assert threshold != validity._Posed(None, shape, 2, cells, 0)
+        posers = [
+            lambda: validity.decide_validity(phi).status == rcof.INVALID,
+            lambda: pqentail.hailperin_entails(deltas, alpha, half, half) is False,
+        ]
+        for order in (posers, posers[::-1]):
+            _clear_memos()
+            for pose in order * 2:
+                assert pose()
+            info = validity._decided.cache_info()
+            assert (info.misses, info.currsize) == (2, 2)
+
+    def test_a_stored_key_holds_neither_solver_nor_cells_nor_decision(self, monkeypatch):
+        posed = []
+        decided = validity._decided
+        monkeypatch.setattr(validity, "_decided", lambda key: posed.append(key) or decided(key))
+        _clear_memos()
+        assert pqentail.hailperin_entails([prop.parse("B1 | B2")], B1, F(1, 2), F(1, 2)) is False
+        assert pqentail.pq_entails([B1], B1, pqentail.ThresholdPair(F(1, 2), F(1, 2))) is True
+        for text, status in (("P(B1) < 1/2", rcof.INVALID), ("P(B1) = 1 -> P(B1 | B2) = 1", rcof.VALID)):
+            assert validity.decide_validity(ppl.parse(text)).status == status
+        assert decided.cache_info().misses == len(posed) == 4
+        for key in posed:
+            assert_key_alone(key)
 
 
 @given(formulas(max_leaves=4), formulas(max_leaves=4), formulas(max_leaves=4))

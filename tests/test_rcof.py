@@ -518,7 +518,7 @@ def _posed_systems(run) -> list:
         posed.setdefault(atoms, None)
         return simplex(atoms)
 
-    for memo in (rcof._simplex, pqentail._entailed, pqentail._refutable):
+    for memo in (rcof._simplex, pqentail._entailed, validity._decided):
         memo.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rcof, "fm_feasible", spy)

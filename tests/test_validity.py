@@ -9,6 +9,7 @@ from pplogic import calculus, config, ppl, prop, rcof, stochval, validity
 from pplogic.config import Config
 
 from .helpers import (
+    assert_key_alone,
     build_Q_by_points,
     corpus_ppl_formula,
     decide_by_field_formula,
@@ -365,8 +366,7 @@ def test_memo_keeps_no_witness_and_no_nonlinear_verdict(monkeypatch):
         d = validity.decide_validity(ppl.parse("P(B1) < 1/2"))
         assert d.status == rcof.INVALID and d.witness is not None and d.valuation is not None
     assert decided.cache_info().currsize == 1
-    assert [p.invalid for p in posed] == [None, None]
-    assert posed[0].phi is None and posed[0].cells is None  # the memo keeps the key alone
+    assert_key_alone(posed[0])  # the INVALID decision went to its caller, not onto the key
     d = validity.decide_validity(ppl.parse("P(B1) < x1 * x1"))
     assert d.status == rcof.UNSUPPORTED and decided.cache_info().currsize == 1
 
